@@ -239,14 +239,6 @@ def row_assignment(row: int, num_vars: int) -> Assignment:
     return {var: (row >> (var - 1)) & 1 for var in range(1, num_vars + 1)}
 
 
-def assignment_row(a: Assignment, num_vars: int) -> int:
-    row = 0
-    for var, value in a.items():
-        if value:
-            row |= 1 << (var - 1)
-    return row
-
-
 def is_minimally_unsat(phi: CnfFormula, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> bool:
     """Unsatisfiable, and deleting any single clause restores satisfiability."""
     if phi.num_vars > cap:

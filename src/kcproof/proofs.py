@@ -461,7 +461,8 @@ class _Session:
             obj = circuit_from_lines(pieces)
             obj.vtree = self.store(sid)
             validate_structured(obj, obj.vtree)
-            validate_deterministic(obj, obj.vtree, cap=self.cap)
+            if not validate_deterministic(obj, obj.vtree, cap=self.cap):
+                raise DsdnnfError("circuit is not deterministic")
             size = circuit_size(obj)
         self.objs[did] = obj
         self.sizes[did] = size

@@ -9,6 +9,12 @@ functions have one canonical node per vtree node, so "is this the false
 diagram" is an id comparison.  Equality of arbitrary diagrams is decided by
 the counting method, not by ids.
 
+Work that never changes under a fixed vtree is done once: each store
+memoises literal embeddings on (path, literal) and keeps the child paths of
+every internal vtree node, and each vtree node caches its variable set when
+it is built.  Hash-consing makes the cached results the nodes a fresh
+computation would find, so no node id depends on the caches.
+
 Node descriptors:
   ("lit", path, lit)        literal atom at a leaf
   ("true", path)            canonical constant-true at a leaf
@@ -35,6 +41,9 @@ class SddStore:
         self.vars_at = {path: node.variables for path, node in self.paths.items()}
         self.leaf_path = {node.var: path for path, node in self.paths.items()
                           if node.is_leaf}
+        self.children = {path: (path + "L", path + "R")
+                         for path, node in self.paths.items()
+                         if not node.is_leaf}
         self.nodes = []       # id -> descriptor
         self.node_path = []   # id -> path the node is bound to
         self.unique = {}
@@ -42,6 +51,7 @@ class SddStore:
         self.counts = {}      # id -> model count over vars_at[path of id]
         self._true_at = {}
         self._false_at = {}
+        self._embedded = {}   # (path, literal) -> sdd_literal's node at path
 
     # ------------------------------------------------------------- plumbing
 
@@ -101,10 +111,10 @@ class SddStore:
         a sub are merged by disjoining their primes; callers guarantee that
         the primes form a partition (deserialization validates explicitly).
         """
-        node = self.paths.get(path)
-        if node is None or node.is_leaf:
+        children = self.children.get(path)
+        if children is None:
             raise SddError("decision node path %r is not internal" % path)
-        left, right = path + "L", path + "R"
+        left, right = children
         false_left = self.false_at(left)
         merged = {}
         for prime, sub in elements:
@@ -152,16 +162,21 @@ class SddStore:
         found = self.cache.get(key)
         if found is not None:
             return found
-        if self.paths[path].is_leaf:
+        children = self.children.get(path)
+        if children is None:
             result = self._leaf_apply(op, a, b, path)
         else:
+            # a is a decision node here, so mk_dec has made false_at(left)
+            false_left = self.false_at(children[0])
+            apply = self.apply
+            elements_b = self.nodes[b][2]
             elements = []
             for prime_a, sub_a in self.nodes[a][2]:
-                for prime_b, sub_b in self.nodes[b][2]:
-                    prime = self.apply("and", prime_a, prime_b)
-                    if prime == self.false_at(path + "L"):
+                for prime_b, sub_b in elements_b:
+                    prime = apply("and", prime_a, prime_b)
+                    if prime == false_left:
                         continue
-                    elements.append((prime, self.apply(op, sub_a, sub_b)))
+                    elements.append((prime, apply(op, sub_a, sub_b)))
             result = self.mk_dec(path, elements)
         self.cache[key] = result
         return result
@@ -321,17 +336,26 @@ def sdd_const(store, value):
 def sdd_literal(store, lit):
     """The single-literal function, normalized at the root."""
 
+    memo = store._embedded
+
     def embed(path, literal):
-        node = store.paths[path]
-        if node.is_leaf:
-            return store.literal(literal)
-        var = abs(literal)
-        if var in node.left.variables:
-            return store.mk_dec(path, (
-                (embed(path + "L", literal), store.true_at(path + "R")),
-                (embed(path + "L", -literal), store.false_at(path + "R"))))
-        return store.mk_dec(path, (
-            (store.true_at(path + "L"), embed(path + "R", literal)),))
+        found = memo.get((path, literal))
+        if found is not None:
+            return found
+        children = store.children.get(path)
+        if children is None:
+            found = store.literal(literal)
+        else:
+            left, right = children
+            if abs(literal) in store.vars_at[left]:
+                found = store.mk_dec(path, (
+                    (embed(left, literal), store.true_at(right)),
+                    (embed(left, -literal), store.false_at(right))))
+            else:
+                found = store.mk_dec(path, (
+                    (store.true_at(left), embed(right, literal)),))
+        memo[(path, literal)] = found
+        return found
 
     if abs(lit) not in store.vtree.variables:
         raise SddError("variable %d not in vtree" % abs(lit))

@@ -31,11 +31,15 @@ class Vtree:
                 raise StructureError("internal vtree node needs two children")
             if self.left.variables & self.right.variables:
                 raise StructureError("vtree children share variables")
+            variables = self.left.variables | self.right.variables
         else:
             if self.left is not None or self.right is not None:
                 raise StructureError("leaf cannot have children")
             if self.var < 1:
                 raise StructureError("leaf variable must be positive")
+            variables = frozenset((self.var,))
+        # a plain attribute, not a field, so == and hash see only the shape
+        object.__setattr__(self, "_variables", variables)
 
     @property
     def is_leaf(self) -> bool:
@@ -43,10 +47,7 @@ class Vtree:
 
     @property
     def variables(self) -> FrozenSet[int]:
-        if self.is_leaf:
-            return frozenset((self.var,))
-        # cached via object attribute would break frozen; recompute (trees are small)
-        return self.left.variables | self.right.variables
+        return self._variables
 
     def leaves_in_order(self) -> List[int]:
         if self.is_leaf:
