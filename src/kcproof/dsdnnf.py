@@ -165,13 +165,18 @@ def _bindings(circuit, tree, check_or_sets):
     check_or_sets, or-gate children must mention equal variable sets.
     Returns (binding path per gate id, variable mask per gate id).
     """
+    # before any mask is built: a mask costs a bit per variable up to the
+    # largest one, so an unchecked literal could cost unbounded memory
+    leaves = tree.variables
+    for i, gate in enumerate(circuit.gates):
+        if gate[0] == "lit" and abs(gate[1]) not in leaves:
+            raise DsdnnfError("gate %d: variable %d is not a leaf of the vtree"
+                              % (i, abs(gate[1])))
     vam = _vtree_masks(tree)
     masks = _var_masks(circuit)
     binding = {}
     for i in sorted(_reachable(circuit)):
         gate = circuit.gates[i]
-        if masks[i] & ~vam[""]:
-            raise DsdnnfError("gate %d mentions variables outside the vtree" % i)
         path = _lowest_path(masks[i], vam)
         if gate[0] == "and":
             if path + "L" not in vam:
@@ -349,7 +354,6 @@ def dsdnnf_conjoin(d1, d2, tree):
         return r
 
     out.root = prod(d1.root, d2.root)
-    assert circuit_size(out) <= (circuit_size(d1) + 2) * (circuit_size(d2) + 2)
     return out
 
 
@@ -654,9 +658,13 @@ def circuit_from_lines(lines):
                 raise DsdnnfError("bad gate line %r" % line)
             gate = (kind.lower(), ids[parts[3]], ids[parts[4]])
         elif kind == "LIT":
-            if len(parts) != 4 or int(parts[3]) == 0:
+            try:
+                lit = int(parts[3]) if len(parts) == 4 else 0
+            except ValueError:
+                lit = 0
+            if lit == 0:
                 raise DsdnnfError("bad literal line %r" % line)
-            gate = ("lit", int(parts[3]))
+            gate = ("lit", lit)
         elif kind in ("TRUE", "FALSE"):
             if len(parts) != 3:
                 raise DsdnnfError("bad constant line %r" % line)

@@ -13,7 +13,13 @@ Work that never changes under a fixed vtree is done once: each store
 memoises literal embeddings on (path, literal) and keeps the child paths of
 every internal vtree node, and each vtree node caches its variable set when
 it is built.  Hash-consing makes the cached results the nodes a fresh
-computation would find, so no node id depends on the caches.
+computation would find, so no node id depends on the caches.  apply checks
+its operands once at the entry, then probes its memo before the constants:
+only a miss at the same vtree node fills the memo, and that miss made them.
+Deserialization reuses a decision node the store already holds without
+validating its partition again, since the store holds only nodes that are
+valid by construction; it matches the statement's sorted elements exactly,
+so an uncompressed statement is still validated.
 
 Node descriptors:
   ("lit", path, lit)        literal atom at a leaf
@@ -116,21 +122,27 @@ class SddStore:
             raise SddError("decision node path %r is not internal" % path)
         left, right = children
         false_left = self.false_at(left)
-        merged = {}
+        kept = []
         for prime, sub in elements:
             if self.node_path[prime] != left:
                 raise SddError("prime not normalized to the left child")
             if self.node_path[sub] != right:
                 raise SddError("sub not normalized to the right child")
-            if prime == false_left:
-                continue
-            if sub in merged:
-                merged[sub] = self.apply("or", merged[sub], prime)
-            else:
-                merged[sub] = prime
-        compressed = tuple(sorted((prime, sub) for sub, prime in merged.items()))
-        if not compressed:
+            if prime != false_left:
+                kept.append((prime, sub))
+        return self._compress(path, kept)
+
+    def _compress(self, path, elements):
+        """Merge elements sharing a sub, in element order, and intern the
+        node; the elements are normalized and have satisfiable primes."""
+        merged = {}
+        for prime, sub in elements:
+            other = merged.get(sub)
+            merged[sub] = prime if other is None \
+                else self._apply("or", other, prime)
+        if not merged:
             raise SddError("decision node with no satisfiable prime")
+        compressed = tuple(sorted((prime, sub) for sub, prime in merged.items()))
         return self._intern(("dec", path, compressed), path)
 
     # ------------------------------------------------------------ operations
@@ -138,12 +150,27 @@ class SddStore:
     def apply(self, op, a, b):
         if op not in ("and", "or"):
             raise SddError("unknown operation %r" % op)
-        path = self.node_path[a]
-        if self.node_path[b] != path:
+        if self.node_path[a] != self.node_path[b]:
             raise SddError("operands bound to different vtree nodes")
+        return self._apply(op, a, b)
+
+    def _apply(self, op, a, b):
+        """apply without the entry checks: op is "and" or "or" and both
+        operands are bound to one vtree node, as all recursive calls are."""
         if a == b:
             return a
-        true_here, false_here = self.true_at(path), self.false_at(path)
+        key = (op, a, b) if a <= b else (op, b, a)
+        found = self.cache.get(key)
+        if found is not None:
+            # only a miss at this path caches, and it made the constants
+            return found
+        path = self.node_path[a]
+        true_here = self._true_at.get(path)
+        if true_here is None:
+            true_here = self.true_at(path)
+        false_here = self._false_at.get(path)
+        if false_here is None:
+            false_here = self.false_at(path)
         if op == "and":
             if a == false_here or b == false_here:
                 return false_here
@@ -158,26 +185,21 @@ class SddStore:
                 return b
             if b == false_here:
                 return a
-        key = (op, a, b) if a <= b else (op, b, a)
-        found = self.cache.get(key)
-        if found is not None:
-            return found
         children = self.children.get(path)
         if children is None:
             result = self._leaf_apply(op, a, b, path)
         else:
             # a is a decision node here, so mk_dec has made false_at(left)
-            false_left = self.false_at(children[0])
-            apply = self.apply
+            false_left = self._false_at[children[0]]
+            apply = self._apply
             elements_b = self.nodes[b][2]
             elements = []
             for prime_a, sub_a in self.nodes[a][2]:
                 for prime_b, sub_b in elements_b:
                     prime = apply("and", prime_a, prime_b)
-                    if prime == false_left:
-                        continue
-                    elements.append((prime, apply(op, sub_a, sub_b)))
-            result = self.mk_dec(path, elements)
+                    if prime != false_left:
+                        elements.append((prime, apply(op, sub_a, sub_b)))
+            result = self._compress(path, elements)
         self.cache[key] = result
         return result
 
@@ -624,8 +646,10 @@ def sdd_from_lines(store, lines):
             if label in ids:
                 raise SddError("node label %r reused" % label)
             path = parse_path(path_text)
-            if path not in store.paths or store.paths[path].is_leaf:
+            children = store.children.get(path)
+            if children is None:
                 raise SddError("decision node at non-internal path %r" % path_text)
+            left, right = children
             elements = []
             for chunk in fields[3].split(")"):
                 chunk = chunk.strip()
@@ -640,12 +664,18 @@ def sdd_from_lines(store, lines):
             if not elements:
                 raise SddError("decision node with no elements in %r" % line)
             for prime, sub in elements:
-                if store.node_path[prime] != path + "L":
+                if store.node_path[prime] != left:
                     raise SddError("prime of %r not at the left child" % label)
-                if store.node_path[sub] != path + "R":
+                if store.node_path[sub] != right:
                     raise SddError("sub of %r not at the right child" % label)
-            _validate_partition(store, path, [prime for prime, _ in elements])
-            ids[label] = store.mk_dec(path, tuple(elements))
+            # a held node is a valid partition by construction; a statement
+            # with duplicates, shared subs or false primes never matches one
+            node = store.unique.get(("dec", path, tuple(sorted(elements))))
+            if node is None:
+                _validate_partition(store, path,
+                                    [prime for prime, _ in elements])
+                node = store.mk_dec(path, tuple(elements))
+            ids[label] = node
         elif parts[0] == "root":
             if len(parts) != 2 or root is not None:
                 raise SddError("malformed root statement %r" % line)

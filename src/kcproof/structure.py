@@ -116,7 +116,7 @@ def path_to_text(path: str) -> str:
 def parse_path(text: str) -> str:
     if text == "-":
         return ""
-    if any(step not in "LR" for step in text):
+    if text.strip("LR"):
         raise StructureError("bad path %r" % text)
     return text
 
