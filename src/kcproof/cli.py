@@ -21,8 +21,9 @@ from kcproof.obdd import (ObddError, ObddStore, obdd_apply, obdd_count,
                           parse_obdd)
 from kcproof.sdd import (SddError, SddStore, parse_sdd, sdd_compile_cnf,
                          sdd_count, sdd_size, sdd_to_text)
-from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
-                            circuit_vars, dsdnnf_count, parse_circuit,
+from kcproof.dsdnnf import (DsdnnfError, check_vtree_leaves, circuit_size,
+                            circuit_to_text, dsdnnf_count,
+                            dsdnnf_count_own_vars, parse_circuit,
                             sdd_to_dsdnnf)
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
@@ -249,8 +250,10 @@ def _count_models(fmt, d):
         return obdd_count(d, set(d.store.order))
     if fmt == "sdd":
         return sdd_count(d, d.store.vtree.variables)
-    over = d.vtree.variables if d.vtree is not None else circuit_vars(d)
-    return dsdnnf_count(d, over)
+    if d.vtree is None:
+        return dsdnnf_count_own_vars(d)
+    check_vtree_leaves(d, d.vtree)
+    return dsdnnf_count(d, d.vtree.variables)
 
 
 def _obdd_trace(store, phi):

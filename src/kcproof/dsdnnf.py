@@ -118,17 +118,22 @@ def _var_masks(circuit):
 
 def circuit_vars(circuit):
     """Variables mentioned by gates reachable from the root."""
-    masks = _var_masks(circuit)
-    out = set()
-    for i in _reachable(circuit):
-        mask = masks[i]
-        v = 1
-        while mask:
-            if mask & 1:
-                out.add(v)
-            mask >>= 1
-            v += 1
-    return out
+    gates = circuit.gates
+    return {abs(gates[i][1]) for i in _reachable(circuit)
+            if gates[i][0] == "lit"}
+
+
+def check_vtree_leaves(circuit, tree):
+    """Reject any literal gate whose variable is not a leaf of the vtree.
+
+    Run it before any mask is built: a mask costs a bit per variable up to
+    the largest one, so an unchecked literal could cost unbounded memory.
+    """
+    leaves = tree.variables
+    for i, gate in enumerate(circuit.gates):
+        if gate[0] == "lit" and abs(gate[1]) not in leaves:
+            raise DsdnnfError("gate %d: variable %d is not a leaf of the vtree"
+                              % (i, abs(gate[1])))
 
 
 def _vtree_masks(tree):
@@ -165,13 +170,7 @@ def _bindings(circuit, tree, check_or_sets):
     check_or_sets, or-gate children must mention equal variable sets.
     Returns (binding path per gate id, variable mask per gate id).
     """
-    # before any mask is built: a mask costs a bit per variable up to the
-    # largest one, so an unchecked literal could cost unbounded memory
-    leaves = tree.variables
-    for i, gate in enumerate(circuit.gates):
-        if gate[0] == "lit" and abs(gate[1]) not in leaves:
-            raise DsdnnfError("gate %d: variable %d is not a leaf of the vtree"
-                              % (i, abs(gate[1])))
+    check_vtree_leaves(circuit, tree)
     vam = _vtree_masks(tree)
     masks = _var_masks(circuit)
     binding = {}
@@ -433,6 +432,24 @@ def dsdnnf_count(d, over):
     if root_mask & ~over_mask:
         raise DsdnnfError("circuit mentions variables outside the count set")
     return counts[d.root] << (over_mask & ~root_mask).bit_count()
+
+
+def dsdnnf_count_own_vars(d):
+    """Model count over circuit_vars(d).
+
+    The variables are renamed to 1..k in increasing order first, so no
+    mask is wider than the k variables, however large their numbers.
+    """
+    rank = {v: i for i, v in enumerate(sorted(circuit_vars(d)), start=1)}
+    dense = Circuit()
+    for gate in d.gates:
+        if gate[0] == "lit":
+            v = rank.get(abs(gate[1]))
+            # a literal missing from rank is unreachable: any gate will do
+            gate = ("true",) if v is None else ("lit", v if gate[1] > 0 else -v)
+        dense.gates.append(gate)
+    dense.root = d.root
+    return dsdnnf_count(dense, rank.values())
 
 
 def dsdnnf_is_unsat(d):

@@ -26,6 +26,8 @@ class ObddStore:
         self.order = order
         self.level = {var: i for i, var in enumerate(order)}
         self.nodes = [None, None]  # id -> (var, lo, hi) for internal nodes
+        # id -> level of the node's variable; both sinks sit below them all
+        self.levels = [len(order), len(order)]
         self.unique = {}
         self.cache = {}
 
@@ -35,59 +37,116 @@ class ObddStore:
     def node(self, u):
         return self.nodes[u]
 
-    def top_level(self, u):
-        if self.is_terminal(u):
-            return len(self.order)
-        return self.level[self.nodes[u][0]]
-
     def mk(self, var, lo, hi):
-        if var not in self.level:
+        # only validated keys enter the unique table, so a hit needs no checks
+        key = (var, lo, hi)
+        found = self.unique.get(key)
+        if found is not None:
+            return found
+        level = self.level.get(var)
+        if level is None:
             raise ObddError("variable %d not in order" % var)
         if lo == hi:
             return lo
-        for child in (lo, hi):
-            if not self.is_terminal(child) and \
-                    self.level[self.nodes[child][0]] <= self.level[var]:
-                raise ObddError("children must branch on later variables")
-        key = (var, lo, hi)
-        found = self.unique.get(key)
-        if found is None:
-            self.nodes.append(key)
-            found = len(self.nodes) - 1
-            self.unique[key] = found
+        levels = self.levels
+        if levels[lo] <= level or levels[hi] <= level:
+            raise ObddError("children must branch on later variables")
+        found = len(self.nodes)
+        self.nodes.append(key)
+        levels.append(level)
+        self.unique[key] = found
         return found
 
     # ---------------------------------------------------------- operations
 
     def apply(self, op, a, b):
         if op == "and":
-            if a == self.FALSE or b == self.FALSE:
-                return self.FALSE
-            if a == self.TRUE:
-                return b
-            if b == self.TRUE or a == b:
-                return a
-        elif op == "or":
-            if a == self.TRUE or b == self.TRUE:
-                return self.TRUE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE or a == b:
-                return a
-        else:
-            raise ObddError("unknown operation %r" % op)
-        key = (op, a, b) if a <= b else (op, b, a)
+            return self._and(a, b)
+        if op == "or":
+            return self._or(a, b)
+        raise ObddError("unknown operation %r" % op)
+
+    # One worker per operation, the same but for the constant cases: sink
+    # ids are written as 0 and 1, and a result node is interned without
+    # mk's checks, since it branches above both children by construction.
+    # The memo key is (op, smaller id, larger id); lo is computed before
+    # hi, which fixes the order in which nodes, and so their ids, appear.
+
+    def _and(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        if a == 1:
+            return b
+        if b == 1 or a == b:
+            return a
+        key = ("and", a, b) if a < b else ("and", b, a)
         found = self.cache.get(key)
         if found is not None:
             return found
-        la, lb = self.top_level(a), self.top_level(b)
+        levels = self.levels
+        la = levels[a]
+        lb = levels[b]
         if la <= lb:
-            var = self.nodes[a][0]
+            var, a_lo, a_hi = self.nodes[a]
+            level = la
         else:
-            var = self.nodes[b][0]
-        a_lo, a_hi = (self.nodes[a][1], self.nodes[a][2]) if la <= lb else (a, a)
-        b_lo, b_hi = (self.nodes[b][1], self.nodes[b][2]) if lb <= la else (b, b)
-        result = self.mk(var, self.apply(op, a_lo, b_lo), self.apply(op, a_hi, b_hi))
+            a_lo = a_hi = a
+        if lb <= la:
+            var, b_lo, b_hi = self.nodes[b]
+            level = lb
+        else:
+            b_lo = b_hi = b
+        lo = self._and(a_lo, b_lo)
+        hi = self._and(a_hi, b_hi)
+        if lo == hi:
+            result = lo
+        else:
+            node = (var, lo, hi)
+            result = self.unique.get(node)
+            if result is None:
+                result = len(self.nodes)
+                self.nodes.append(node)
+                levels.append(level)
+                self.unique[node] = result
+        self.cache[key] = result
+        return result
+
+    def _or(self, a, b):
+        if a == 1 or b == 1:
+            return 1
+        if a == 0:
+            return b
+        if b == 0 or a == b:
+            return a
+        key = ("or", a, b) if a < b else ("or", b, a)
+        found = self.cache.get(key)
+        if found is not None:
+            return found
+        levels = self.levels
+        la = levels[a]
+        lb = levels[b]
+        if la <= lb:
+            var, a_lo, a_hi = self.nodes[a]
+            level = la
+        else:
+            a_lo = a_hi = a
+        if lb <= la:
+            var, b_lo, b_hi = self.nodes[b]
+            level = lb
+        else:
+            b_lo = b_hi = b
+        lo = self._or(a_lo, b_lo)
+        hi = self._or(a_hi, b_hi)
+        if lo == hi:
+            result = lo
+        else:
+            node = (var, lo, hi)
+            result = self.unique.get(node)
+            if result is None:
+                result = len(self.nodes)
+                self.nodes.append(node)
+                levels.append(level)
+                self.unique[node] = result
         self.cache[key] = result
         return result
 
@@ -139,16 +198,19 @@ class ObddStore:
         return variables
 
     def reachable(self, u):
-        seen = set()
+        nodes = self.nodes
+        seen = {u}
         stack = [u]
         while stack:
-            t = stack.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            if not self.is_terminal(t):
-                stack.append(self.nodes[t][1])
-                stack.append(self.nodes[t][2])
+            node = nodes[stack.pop()]
+            if node is not None:
+                _, lo, hi = node
+                if lo not in seen:
+                    seen.add(lo)
+                    stack.append(lo)
+                if hi not in seen:
+                    seen.add(hi)
+                    stack.append(hi)
         return seen
 
     def count(self, u, over):
@@ -219,12 +281,15 @@ def obdd_literal(store, lit):
 
 def obdd_from_clause(store, clause):
     """Canonical OBDD of a disjunction of literals, built sink-up."""
+    level = store.level
     by_var = {abs(lit): lit for lit in clause}
+    for var in by_var:
+        if var not in level:
+            # dropping the literal would claim a stronger clause
+            raise ObddError("variable %d not in order" % var)
     acc = store.FALSE
-    for var in reversed(store.order):
-        lit = by_var.get(var)
-        if lit is None:
-            continue
+    for var in sorted(by_var, key=level.__getitem__, reverse=True):
+        lit = by_var[var]
         if lit > 0:
             acc = store.mk(var, acc, store.TRUE)
         else:
@@ -403,44 +468,29 @@ def obdd_truth_mask(d, num_vars):
 
 def obdd_to_lines(d):
     """Node statements in bottom-up order plus the root statement."""
-    store = d.store
+    nodes = d.store.nodes
     lines = []
-    emitted = set()
-
-    def name(t):
-        if t == store.FALSE:
-            return "F"
-        if t == store.TRUE:
-            return "T"
-        return str(t)
+    names = {ObddStore.FALSE: "F", ObddStore.TRUE: "T"}  # emitted so far
 
     def walk(t):
-        if store.is_terminal(t) or t in emitted:
-            return
-        var, lo, hi = store.nodes[t]
-        walk(lo)
-        walk(hi)
-        emitted.add(t)
-        lines.append("n %d %d %s %s" % (t, var, name(lo), name(hi)))
+        var, lo, hi = nodes[t]
+        if lo not in names:
+            walk(lo)
+        if hi not in names:
+            walk(hi)
+        name = names[t] = str(t)
+        lines.append("n %s %d %s %s" % (name, var, names[lo], names[hi]))
 
-    walk(d.node)
-    lines.append("root %s" % name(d.node))
+    if d.node not in names:
+        walk(d.node)
+    lines.append("root " + names[d.node])
     return lines
 
 
 def obdd_from_lines(store, lines):
     """Rebuild a diagram from node statements; ids are file-local labels."""
-    ids = {}
-
-    def lookup(token):
-        if token == "F":
-            return store.FALSE
-        if token == "T":
-            return store.TRUE
-        if token not in ids:
-            raise ObddError("reference to undefined node %r" % token)
-        return ids[token]
-
+    ids = {"F": store.FALSE, "T": store.TRUE}
+    mk = store.mk
     root = None
     for line in lines:
         parts = line.split()
@@ -449,18 +499,26 @@ def obdd_from_lines(store, lines):
         if parts[0] == "n":
             if len(parts) != 5:
                 raise ObddError("malformed node statement %r" % line)
-            label, var_text, lo_text, hi_text = parts[1:]
-            if label in ("T", "F") or label in ids:
+            _, label, var_text, lo_text, hi_text = parts
+            if label in ids:
                 raise ObddError("node label %r reused" % label)
             try:
                 var = int(var_text)
             except ValueError:
                 raise ObddError("bad variable in %r" % line)
-            ids[label] = store.mk(var, lookup(lo_text), lookup(hi_text))
+            lo = ids.get(lo_text)
+            if lo is None:
+                raise ObddError("reference to undefined node %r" % lo_text)
+            hi = ids.get(hi_text)
+            if hi is None:
+                raise ObddError("reference to undefined node %r" % hi_text)
+            ids[label] = mk(var, lo, hi)
         elif parts[0] == "root":
             if len(parts) != 2 or root is not None:
                 raise ObddError("malformed root statement %r" % line)
-            root = lookup(parts[1])
+            root = ids.get(parts[1])
+            if root is None:
+                raise ObddError("reference to undefined node %r" % parts[1])
         else:
             raise ObddError("unknown statement %r" % line)
     if root is None:
