@@ -21,10 +21,10 @@ from kcproof.obdd import (ObddError, ObddStore, obdd_apply, obdd_count,
                           parse_obdd)
 from kcproof.sdd import (SddError, SddStore, parse_sdd, sdd_compile_cnf,
                          sdd_count, sdd_size, sdd_to_text)
-from kcproof.dsdnnf import (DsdnnfError, check_vtree_leaves, circuit_size,
-                            circuit_to_text, dsdnnf_count,
-                            dsdnnf_count_own_vars, parse_circuit,
-                            sdd_to_dsdnnf)
+from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
+                            dsdnnf_count, dsdnnf_count_own_vars,
+                            parse_circuit, sdd_to_dsdnnf,
+                            validate_deterministic)
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
                          seq_formula, tseitin, vc_formula)
@@ -251,8 +251,11 @@ def _count_models(fmt, d):
     if fmt == "sdd":
         return sdd_count(d, d.store.vtree.variables)
     if d.vtree is None:
+        # deciding determinism without a vtree is coNP-hard: presumed
         return dsdnnf_count_own_vars(d)
-    check_vtree_leaves(d, d.vtree)
+    # checks every literal against the vtree before it builds any mask
+    if not validate_deterministic(d, d.vtree):
+        raise DsdnnfError("circuit is not deterministic")
     return dsdnnf_count(d, d.vtree.variables)
 
 
@@ -727,6 +730,11 @@ def main(argv=None):
     except (CnfError, StructureError, ObddError, SddError, DsdnnfError,
             ZooError, ProofError, RefuteError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # anything else would end in a traceback and exit 1, "rejected"
+        reason = " ".join(str(exc).split()) or "no message"
+        print("error: %s: %s" % (type(exc).__name__, reason), file=sys.stderr)
         return 2
 
 

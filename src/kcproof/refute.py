@@ -24,7 +24,7 @@ from .obdd import (ObddError, ObddRef, ObddStore, migrate, obdd_apply,
 from .sdd import (SddError, SddRef, SddStore, rebind, sdd_apply,
                   sdd_compile_cnf, sdd_equal, sdd_from_clause)
 from .dsdnnf import (Circuit, clause_circuit, dsdnnf_conjoin, dsdnnf_equiv,
-                     dsdnnf_restrict)
+                     dsdnnf_restrict, sdd_to_dsdnnf)
 from .obdd import obdd_restrict
 from .sdd import sdd_restrict
 from .zoo import LiftedFormula, ZooError, eq_formula, lift_C, lift_Z
@@ -42,9 +42,7 @@ def _mk_store(fmt, structure):
     try:
         if fmt == "obdd":
             return ObddStore(structure)
-        if fmt == "sdd":
-            return SddStore(structure)
-        return structure
+        return SddStore(structure)
     except (ObddError, SddError, StructureError) as err:
         raise RefuteError("invalid structure: %s" % err)
 
@@ -109,20 +107,28 @@ def naive_conjoin_refute(phi, structure, fmt=None):
         raise RefuteError("structure does not cover the formula variables")
     if phi.num_clauses == 0:
         raise RefuteError("formula has no clauses")
-    store = _mk_store(fmt, structure)
+    # circuits are folded as SDDs, which stay canonical and reduced, and
+    # each line is exported; a product of circuits grows with every join
+    work = "sdd" if fmt == "dsdnnf" else fmt
+    store = _mk_store(work, structure)
     proof = Proof(ProofSystem(fmt, ("join",)))
     sid = proof.add_structure(structure)
+
+    def emit(d):
+        if fmt == "dsdnnf":
+            d = sdd_to_dsdnnf(d)
+        return proof.add_diagram(sid, diagram_payload(d))
+
     acc = None
     acc_line = None
     for index, clause in enumerate(phi.clauses):
-        d = _clause_diagram(fmt, store, clause)
-        line = proof.add_init(index, proof.add_diagram(sid, diagram_payload(d)))
+        d = _clause_diagram(work, store, clause)
+        line = proof.add_init(index, emit(d))
         if acc is None:
             acc, acc_line = d, line
         else:
-            acc = _conjoin(fmt, acc, d, store)
-            acc_line = proof.add_join(
-                acc_line, line, proof.add_diagram(sid, diagram_payload(acc)))
+            acc = _conjoin(work, acc, d, store)
+            acc_line = proof.add_join(acc_line, line, emit(acc))
     return proof
 
 
