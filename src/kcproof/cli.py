@@ -16,25 +16,22 @@ from kcproof.cnf import (CapExceeded, CnfError, cnf, parse_dimacs,
                          primal_graph, to_dimacs, tree_decomposition)
 from kcproof.structure import (StructureError, right_linear_vtree,
                                vtree_from_decomposition)
-from kcproof.obdd import (ObddError, ObddStore, obdd_apply, obdd_count,
-                          obdd_from_clause, obdd_size, obdd_to_text,
-                          parse_obdd)
-from kcproof.sdd import (SddError, SddStore, parse_sdd, sdd_compile_cnf,
-                         sdd_count, sdd_size, sdd_to_text)
+from kcproof.obdd import ObddError, obdd_size, obdd_to_text, parse_obdd
+from kcproof.sdd import SddError, parse_sdd, sdd_size, sdd_to_text
 from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
-                            dsdnnf_count, dsdnnf_count_own_vars,
-                            parse_circuit, sdd_to_dsdnnf,
+                            dsdnnf_count_own_vars, parse_circuit,
                             validate_deterministic)
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
                          seq_formula, tseitin, vc_formula)
-from kcproof.proofs import (RULES, ProofError, check_proof, check_resolution,
-                            parse_proof, parse_resolution, proof_to_text,
+from kcproof.proofs import (BACKENDS, RULES, ProofError, check_proof,
+                            check_resolution, fold_trace, parse_proof,
+                            parse_resolution, proof_to_text,
                             resolution_to_text)
 from kcproof.refute import (RefuteError, compilation_to_refutation,
-                            extract_representation, naive_conjoin_refute,
-                            obdd_refute_eq, resolution_refute_lifted,
-                            treewidth_refute)
+                            extract_representation, fold_backend,
+                            naive_conjoin_refute, obdd_refute_eq,
+                            resolution_refute_lifted, treewidth_refute)
 
 DEFAULT_CHECK_CAP = 10 ** 7
 
@@ -210,14 +207,16 @@ def _recover_z_lifting(phi, text):
 
 # ------------------------------------------------------------ diagram files
 
+# writer, reader and size of each diagram file format
+_DIAGRAM_FILES = {
+    "obdd": (obdd_to_text, parse_obdd, obdd_size),
+    "sdd": (sdd_to_text, parse_sdd, sdd_size),
+    "dsdnnf": (circuit_to_text, parse_circuit, circuit_size),
+}
+
+
 def _diagram_text(fmt, d):
-    if fmt == "obdd":
-        body = obdd_to_text(d)
-    elif fmt == "sdd":
-        body = sdd_to_text(d)
-    else:
-        body = circuit_to_text(d)
-    return "format %s\n%s" % (fmt, body)
+    return "format %s\n%s" % (fmt, _DIAGRAM_FILES[fmt][0](d))
 
 
 def _parse_diagram(text):
@@ -227,50 +226,25 @@ def _parse_diagram(text):
     if not lines or not lines[0].startswith("format "):
         raise UsageError("diagram file is missing its format line")
     fmt = lines[0][len("format "):].strip()
-    body = "\n".join(lines[1:])
-    if fmt == "obdd":
-        return fmt, parse_obdd(body)
-    if fmt == "sdd":
-        return fmt, parse_sdd(body)
-    if fmt == "dsdnnf":
-        return fmt, parse_circuit(body)
-    raise UsageError("unknown diagram format %r" % fmt)
+    if fmt not in _DIAGRAM_FILES:
+        raise UsageError("unknown diagram format %r" % fmt)
+    return fmt, _DIAGRAM_FILES[fmt][1]("\n".join(lines[1:]))
 
 
 def _diagram_size(fmt, d):
-    if fmt == "obdd":
-        return obdd_size(d)
-    if fmt == "sdd":
-        return sdd_size(d)
-    return circuit_size(d)
+    return _DIAGRAM_FILES[fmt][2](d)
 
 
 def _count_models(fmt, d):
-    if fmt == "obdd":
-        return obdd_count(d, set(d.store.order))
-    if fmt == "sdd":
-        return sdd_count(d, d.store.vtree.variables)
-    if d.vtree is None:
-        # deciding determinism without a vtree is coNP-hard: presumed
-        return dsdnnf_count_own_vars(d)
-    # checks every literal against the vtree before it builds any mask
-    if not validate_deterministic(d, d.vtree):
-        raise DsdnnfError("circuit is not deterministic")
-    return dsdnnf_count(d, d.vtree.variables)
-
-
-def _obdd_trace(store, phi):
-    trace = []
-    acc = None
-    for index, clause in enumerate(phi.clauses):
-        ref = obdd_from_clause(store, clause)
-        trace.append(("init", index, ref))
-        if acc is None:
-            acc = ref
-        else:
-            acc = obdd_apply("and", acc, ref)
-            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
-    return acc, trace
+    backend = BACKENDS[fmt]
+    if fmt == "dsdnnf":
+        if d.vtree is None:
+            # deciding determinism without a vtree is coNP-hard: presumed
+            return dsdnnf_count_own_vars(d)
+        # checks every literal against the vtree before it builds any mask
+        if not validate_deterministic(d, d.vtree):
+            raise DsdnnfError("circuit is not deterministic")
+    return backend.count(d, backend.structure_of(backend.store_of(d)))
 
 
 def _detect_proof(text):
@@ -348,24 +322,25 @@ def _cmd_lift(args):
     return 0
 
 
+def _structure(fmt, phi, vtree_mode="right"):
+    """The natural order for obdd; for the vtree formats the right-linear
+    vtree or, with vtree_mode "auto", one from a tree decomposition."""
+    order = tuple(range(1, phi.num_vars + 1))
+    if fmt == "obdd":
+        return order
+    if vtree_mode == "auto":
+        return vtree_from_decomposition(tree_decomposition(primal_graph(phi)),
+                                        phi)
+    return right_linear_vtree(order)
+
+
 def _compile_formula(phi, fmt, vtree_mode):
     """Final diagram, trace length, and max intermediate size."""
-    if fmt == "obdd":
-        store = ObddStore(tuple(range(1, phi.num_vars + 1)))
-        final, trace = _obdd_trace(store, phi)
-        sizes = [obdd_size(step[-1]) for step in trace]
-    else:
-        if vtree_mode == "auto":
-            td = tree_decomposition(primal_graph(phi))
-            tree = vtree_from_decomposition(td, phi)
-        else:
-            tree = right_linear_vtree(tuple(range(1, phi.num_vars + 1)))
-        store = SddStore(tree)
-        final, trace = sdd_compile_cnf(phi, store)
-        sizes = [sdd_size(step[-1]) for step in trace]
-        if fmt == "dsdnnf":
-            final = sdd_to_dsdnnf(final)
-    return final, len(trace), max(sizes, default=0)
+    backend, export = fold_backend(fmt)
+    store = backend.store(_structure(fmt, phi, vtree_mode))
+    final, trace = fold_trace(backend, store, phi.clauses)
+    sizes = [_diagram_size(backend.name, step[-1]) for step in trace]
+    return export(final), len(trace), max(sizes, default=0)
 
 
 def _cmd_compile(args):
@@ -411,26 +386,19 @@ def _cmd_refute(args):
         if phi.num_vars == 0:
             raise UsageError("formula has no variables")
         parameters["format"] = args.format
-        if args.format == "obdd":
-            structure = tuple(range(1, phi.num_vars + 1))
-        else:
-            structure = right_linear_vtree(tuple(range(1, phi.num_vars + 1)))
-        proof = naive_conjoin_refute(phi, structure, args.format)
+        proof = naive_conjoin_refute(phi, _structure(args.format, phi),
+                                     args.format)
     elif args.method == "resolution":
         lifted = _recover_z_lifting(phi, text)
         proof = resolution_refute_lifted(lifted)
     elif args.method == "compile2ref":
         lifted = _recover_z_lifting(phi, text)
         parameters["format"] = args.format
-        control = lift_C(lifted.base)
-        if args.format == "obdd":
-            store = ObddStore(tuple(range(1, phi.num_vars + 1)))
-            _, trace = _obdd_trace(store, control)
-        elif args.format == "sdd":
-            tree = right_linear_vtree(tuple(range(1, phi.num_vars + 1)))
-            _, trace = sdd_compile_cnf(control, SddStore(tree))
-        else:
+        if args.format == "dsdnnf":
             raise UsageError("compile2ref works with obdd or sdd")
+        backend = BACKENDS[args.format]
+        store = backend.store(_structure(args.format, phi))
+        _, trace = fold_trace(backend, store, lift_C(lifted.base).clauses)
         proof = compilation_to_refutation(trace, lifted)
     elif args.method == "treewidth":
         lifted = _recover_z_lifting(phi, text)

@@ -460,6 +460,8 @@ def dsdnnf_is_unsat(d):
 def dsdnnf_clausal_entails(d, clause):
     """Does every model of the circuit satisfy the clause?"""
     falsifying = {abs(lit): 0 if lit > 0 else 1 for lit in clause}
+    if len(falsifying) != len(set(clause)):
+        return True  # some variable occurs with both signs: x or not x
     return dsdnnf_is_unsat(dsdnnf_restrict(d, falsifying))
 
 

@@ -287,6 +287,9 @@ def obdd_from_clause(store, clause):
         if var not in level:
             # dropping the literal would claim a stronger clause
             raise ObddError("variable %d not in order" % var)
+    if len(by_var) != len(set(clause)):
+        # some variable occurs with both signs: x or not x
+        return obdd_const(store, True)
     acc = store.FALSE
     for var in sorted(by_var, key=level.__getitem__, reverse=True):
         lit = by_var[var]

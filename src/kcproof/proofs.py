@@ -27,6 +27,7 @@ from kcproof.structure import (
     parse_path,
     parse_vtree,
     path_to_text,
+    remove_leaf,
     right_linear_vtree,
     vtree_to_text,
 )
@@ -37,6 +38,7 @@ from kcproof.obdd import (
     migrate,
     obdd_apply,
     obdd_check_move,
+    obdd_const,
     obdd_count,
     obdd_entails,
     obdd_equal,
@@ -53,13 +55,13 @@ from kcproof.sdd import (
     SddStore,
     rebind,
     sdd_apply,
+    sdd_const,
     sdd_count,
     sdd_entails,
     sdd_equal,
     sdd_from_clause,
     sdd_from_lines,
     sdd_is_false,
-    sdd_literal,
     sdd_restrict,
     sdd_size,
     sdd_to_lines,
@@ -223,16 +225,255 @@ class Proof:
             structure_id=sid, cert_ids=tuple(cert_ids)))
 
 
+# ------------------------------------------------------------ format backends
+# Methods look format functions up in this module's globals at call time,
+# because the benchmark's tracer times each layer by swapping those globals.
+
+class _Backend:
+    """One diagram format, as the checker, the producers and the command
+    line use it.  A store holds the diagrams over one structure: an order
+    or a vtree.  The defaults serve the vtree formats."""
+
+    def leaves(self, structure):
+        return structure.variables
+
+    def moved(self, structure, var, w_path, direction):
+        """The structure after a move, or None and a rejection reason."""
+        return move(structure, var, w_path, direction), None
+
+    def join_ok(self, a, b, c):
+        store = self.store_of(c)
+        return self.equal(self.conjoin(store, self.rebase(store, a),
+                                       self.rebase(store, b)), c)
+
+    def entails_clause(self, store, d, clause):
+        return self.entails(d, self.clause(store, clause))
+
+
+class _ObddBackend(_Backend):
+    name = "obdd"
+    diagram_type = ObddRef
+
+    def store(self, order):
+        return ObddStore(order)
+
+    def parse(self, store, pieces, cap):
+        d = obdd_from_lines(store, pieces)
+        return d, obdd_total_size(d)
+
+    def lines(self, d):
+        return obdd_to_lines(d)
+
+    def store_of(self, d):
+        return d.store
+
+    def structure_of(self, store):
+        return store.order
+
+    def true(self, store):
+        return obdd_const(store, True)
+
+    def clause(self, store, clause):
+        return obdd_from_clause(store, clause)
+
+    def conjoin(self, store, a, b):
+        return obdd_apply("and", a, b)
+
+    def rebase(self, store, d):
+        return d if d.store is store else migrate(store, d)
+
+    def equal(self, a, b):
+        return obdd_equal(a, b)
+
+    def entails(self, a, b):
+        return obdd_entails(self.rebase(b.store, a), b)
+
+    def count(self, d, order):
+        return obdd_count(d, set(order))
+
+    def restrict(self, d, assignment):
+        return obdd_restrict(d, assignment)
+
+    def is_false(self, d):
+        return d.node == d.store.FALSE
+
+    def leaves(self, order):
+        return set(order)
+
+    def moved(self, order, var, w_path, direction):
+        new_order = order_move_of_vtree_move(
+            right_linear_vtree(order), var, w_path, direction)
+        if new_order is None:
+            return None, "move leaves the right-linear form"
+        return new_order, None
+
+    def without(self, order, variables):
+        return tuple(v for v in order if v not in variables)
+
+
+class _SddBackend(_Backend):
+    name = "sdd"
+    diagram_type = SddRef
+
+    def store(self, tree):
+        return SddStore(tree)
+
+    def parse(self, store, pieces, cap):
+        d = sdd_from_lines(store, pieces)
+        return d, sdd_size(d)
+
+    def lines(self, d):
+        return sdd_to_lines(d)
+
+    def store_of(self, d):
+        return d.store
+
+    def structure_of(self, store):
+        return store.vtree
+
+    def true(self, store):
+        return sdd_const(store, True)
+
+    def clause(self, store, clause):
+        return sdd_from_clause(store, clause)
+
+    def conjoin(self, store, a, b):
+        return sdd_apply("and", a, b)
+
+    def rebase(self, store, d):
+        return d if d.store is store else rebind(store, d)
+
+    def equal(self, a, b):
+        return sdd_equal(a, self.rebase(a.store, b))
+
+    def entails(self, a, b):
+        return sdd_entails(self.rebase(b.store, a), b)
+
+    def count(self, d, tree):
+        return sdd_count(d, tree.variables)
+
+    def restrict(self, d, assignment):
+        return sdd_restrict(d, assignment)
+
+    def is_false(self, d):
+        return sdd_is_false(d)
+
+    def without(self, tree, variables):
+        for var in sorted(variables & tree.variables):
+            tree = remove_leaf(tree, var)
+        return tree
+
+
+class _DsdnnfBackend(_Backend):
+    """Circuits carry their vtree, which serves as their store.  Parsing
+    checks structuredness and determinism, which the counting arguments of
+    the checker presuppose."""
+
+    name = "dsdnnf"
+    diagram_type = Circuit
+
+    def store(self, tree):
+        return tree
+
+    def parse(self, tree, pieces, cap):
+        d = circuit_from_lines(pieces)
+        d.vtree = tree
+        validate_structured(d, tree)
+        if not validate_deterministic(d, tree, cap=cap):
+            raise DsdnnfError("circuit is not deterministic")
+        return d, circuit_size(d)
+
+    def lines(self, d):
+        return [line for line in circuit_to_lines(d)
+                if not line.startswith("vtree ")]
+
+    def store_of(self, d):
+        return d.vtree
+
+    def structure_of(self, tree):
+        return tree
+
+    def true(self, tree):
+        d = Circuit(tree)
+        d.root = d.mk_true()
+        return d
+
+    def clause(self, tree, clause):
+        return clause_circuit(clause, tree)
+
+    def conjoin(self, tree, a, b):
+        return dsdnnf_conjoin(a, b, tree)
+
+    def rebase(self, tree, d):
+        return d
+
+    def equal(self, a, b):
+        return dsdnnf_equiv(a, b)
+
+    def join_ok(self, a, b, c):
+        return dsdnnf_join_check(a, b, c)
+
+    def entails(self, a, b):
+        return dsdnnf_implies(a, b)
+
+    def entails_clause(self, tree, d, clause):
+        return dsdnnf_clausal_entails(d, clause)
+
+    def count(self, d, tree):
+        return dsdnnf_count(d, tree.variables)
+
+    def restrict(self, d, assignment):
+        return dsdnnf_restrict(d, assignment)
+
+    def is_false(self, d):
+        return d.gates[d.root][0] == "false"
+
+    def without(self, tree, variables):
+        # smoothing gadgets mention every leaf, so the vtree stays whole
+        return tree
+
+
+BACKENDS = {backend.name: backend for backend in
+            (_ObddBackend(), _SddBackend(), _DsdnnfBackend())}
+
+
+def backend_of(diagram):
+    """The backend whose diagrams include this object."""
+    for backend in BACKENDS.values():
+        if isinstance(diagram, backend.diagram_type):
+            return backend
+    raise ProofError("not a diagram: %r" % (diagram,))
+
+
+def fold_clauses(backend, store, clauses, acc=None):
+    """Conjoin the clauses' diagrams onto acc, left to right, in one store.
+
+    Yields (clause diagram, conjunction so far) per clause.  Without acc
+    the first conjunction is the first clause diagram itself.
+    """
+    for clause in clauses:
+        d = backend.clause(store, clause)
+        acc = d if acc is None else backend.conjoin(store, acc, d)
+        yield d, acc
+
+
+def fold_trace(backend, store, clauses):
+    """The conjunction of the clauses, and its trace: ("init", index, d)
+    per clause, each but the first followed by ("join", i, j, conjunction)
+    with i, j the positions of the two steps joined.  No clauses conjoin
+    to the constant true."""
+    trace = []
+    acc = None
+    for index, (d, acc) in enumerate(fold_clauses(backend, store, clauses)):
+        trace.append(("init", index, d))
+        if index:
+            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
+    return (backend.true(store) if acc is None else acc), trace
+
+
 def diagram_payload(obj):
     """Serialize a diagram to the single-line payload of a d statement."""
-    if isinstance(obj, ObddRef):
-        return ";".join(obdd_to_lines(obj))
-    if isinstance(obj, SddRef):
-        return ";".join(sdd_to_lines(obj))
-    if isinstance(obj, Circuit):
-        return ";".join(line for line in circuit_to_lines(obj)
-                        if not line.startswith("vtree "))
-    raise ProofError("cannot serialize %r as a diagram" % (obj,))
+    return ";".join(backend_of(obj).lines(obj))
 
 
 # -------------------------------------------------------------- serialization
@@ -419,14 +660,12 @@ class _Session:
     """Working state of one checking run: stores and parsed diagrams.
 
     One store is kept per structure id, and every payload is parsed at
-    most once.  Parsing validates the payload against its structure;
-    dsdnnf payloads are additionally checked for structuredness and
-    determinism, since the counting arguments below presuppose both.
+    most once.  Parsing validates the payload against its structure.
     """
 
     def __init__(self, proof, cap):
         self.proof = proof
-        self.fmt = proof.system.format
+        self.backend = BACKENDS[proof.system.format]
         self.cap = cap
         self.stores = {}
         self.objs = {}
@@ -437,35 +676,16 @@ class _Session:
 
     def store(self, sid):
         if sid not in self.stores:
-            value = self.proof.structures[sid]
-            if self.fmt == "obdd":
-                self.stores[sid] = ObddStore(value)
-            elif self.fmt == "sdd":
-                self.stores[sid] = SddStore(value)
-            else:
-                self.stores[sid] = value
+            self.stores[sid] = self.backend.store(self.proof.structures[sid])
         return self.stores[sid]
 
     def diagram(self, did):
         if did in self.objs:
             return self.objs[did]
         sid, payload = self.proof.diagrams[did]
-        pieces = payload.split(";")
-        if self.fmt == "obdd":
-            obj = obdd_from_lines(self.store(sid), pieces)
-            size = obdd_total_size(obj)
-        elif self.fmt == "sdd":
-            obj = sdd_from_lines(self.store(sid), pieces)
-            size = sdd_size(obj)
-        else:
-            obj = circuit_from_lines(pieces)
-            obj.vtree = self.store(sid)
-            validate_structured(obj, obj.vtree)
-            if not validate_deterministic(obj, obj.vtree, cap=self.cap):
-                raise DsdnnfError("circuit is not deterministic")
-            size = circuit_size(obj)
+        obj, self.sizes[did] = self.backend.parse(
+            self.store(sid), payload.split(";"), self.cap)
         self.objs[did] = obj
-        self.sizes[did] = size
         return obj
 
     def diagram_structure(self, did):
@@ -476,123 +696,24 @@ class _Session:
         return self.diagram(line.diagram_id), \
             self.diagram_structure(line.diagram_id)
 
-    # ---------------------------------------------------- format dispatch
-
-    def to_store(self, d, store):
-        """Bring a diagram into a store over an equal structure."""
-        if self.fmt == "obdd":
-            return d if d.store is store else migrate(store, d)
-        if self.fmt == "sdd":
-            return d if d.store is store else rebind(store, d)
-        return d
-
-    def clause_diagram(self, sid, clause):
-        if self.fmt == "obdd":
-            return obdd_from_clause(self.store(sid), clause)
-        if self.fmt == "sdd":
-            return sdd_from_clause(self.store(sid), clause)
-        return clause_circuit(clause, self.store(sid))
-
-    def equal(self, a, b):
-        if self.fmt == "obdd":
-            return obdd_equal(a, b)
-        if self.fmt == "sdd":
-            return sdd_equal(a, self.to_store(b, a.store))
-        return dsdnnf_equiv(a, b)
-
-    def join_ok(self, a, b, c):
-        if self.fmt == "obdd":
-            a, b = self.to_store(a, c.store), self.to_store(b, c.store)
-            return obdd_apply("and", a, b).node == c.node
-        if self.fmt == "sdd":
-            a, b = self.to_store(a, c.store), self.to_store(b, c.store)
-            return sdd_equal(sdd_apply("and", a, b), c)
-        return dsdnnf_join_check(a, b, c)
-
-    def entails(self, a, b):
-        if self.fmt == "obdd":
-            return obdd_entails(self.to_store(a, b.store), b)
-        if self.fmt == "sdd":
-            return sdd_entails(self.to_store(a, b.store), b)
-        return dsdnnf_implies(a, b)
-
-    def entails_clause(self, d, sid, clause):
-        if self.fmt == "dsdnnf":
-            return dsdnnf_clausal_entails(d, clause)
-        return self.entails(d, self.clause_diagram(sid, clause))
-
-    def count_full(self, d, sid):
-        value = self.proof.structures[sid]
-        if self.fmt == "obdd":
-            return obdd_count(d, set(value))
-        over = value.variables
-        if self.fmt == "sdd":
-            return sdd_count(d, over)
-        return dsdnnf_count(d, over)
-
-    def is_false(self, d):
-        if self.fmt == "obdd":
-            return d.node == d.store.FALSE
-        if self.fmt == "sdd":
-            return sdd_is_false(d)
-        return d.gates[d.root][0] == "false"
-
-    def structure_leaves(self, sid):
-        value = self.proof.structures[sid]
-        if self.fmt == "obdd":
-            return set(value)
-        return value.variables
-
-    def move_structure(self, old_value, var, w_path, direction):
-        """The structure a move line must name, or a rejection reason."""
-        if self.fmt == "obdd":
-            new_order = order_move_of_vtree_move(
-                right_linear_vtree(old_value), var, w_path, direction)
-            if new_order is None:
-                return None, "move leaves the right-linear form"
-            return new_order, None
-        return move(old_value, var, w_path, direction), None
+    def count(self, d, sid):
+        """Models of d over the leaves of structure sid."""
+        return self.backend.count(d, self.proof.structures[sid])
 
     def move_counts_ok(self, old_d, new_d, x, new_sid):
         """The two restriction halves of the old diagram, re-anchored on
         the moved structure, must partition the new diagram by count."""
-        if self.fmt == "obdd":
-            store = self.store(new_sid)
-            over = set(store.order)
-            halves = []
-            for value, lit in ((0, -x), (1, x)):
-                part = migrate(store, obdd_restrict(old_d, {x: value}))
-                part = obdd_apply("and", part, obdd_literal(store, lit))
-                product = obdd_apply("and", part, new_d)
-                if obdd_count(part, over) != obdd_count(product, over):
-                    return False
-                halves.append(obdd_count(part, over))
-            return sum(halves) == obdd_count(new_d, over)
-        if self.fmt == "sdd":
-            store = self.store(new_sid)
-            over = store.vtree.variables
-            halves = []
-            for value, lit in ((0, -x), (1, x)):
-                part = rebind(store, sdd_restrict(old_d, {x: value}))
-                part = sdd_apply("and", part, sdd_literal(store, lit))
-                product = sdd_apply("and", part, new_d)
-                if sdd_count(part, over) != sdd_count(product, over):
-                    return False
-                halves.append(sdd_count(part, over))
-            return sum(halves) == sdd_count(new_d, over)
-        tree = self.store(new_sid)
-        over = tree.variables
+        backend, store = self.backend, self.store(new_sid)
         halves = []
         for value, lit in ((0, -x), (1, x)):
-            restricted = dsdnnf_restrict(old_d, {x: value})
-            lit_circuit = Circuit(tree)
-            lit_circuit.root = lit_circuit.mk_lit(lit)
-            part = dsdnnf_conjoin(restricted, lit_circuit, tree)
-            product = dsdnnf_conjoin(part, new_d, tree)
-            if dsdnnf_count(part, over) != dsdnnf_count(product, over):
+            part = backend.rebase(store, backend.restrict(old_d, {x: value}))
+            part = backend.conjoin(store, part,
+                                   backend.clause(store, (lit,)))
+            product = backend.conjoin(store, part, new_d)
+            if self.count(part, new_sid) != self.count(product, new_sid):
                 return False
-            halves.append(dsdnnf_count(part, over))
-        return sum(halves) == dsdnnf_count(new_d, over)
+            halves.append(self.count(part, new_sid))
+        return sum(halves) == self.count(new_d, new_sid)
 
 
 def _single_move_step(a, b):
@@ -615,6 +736,7 @@ def _check_line(session, phi, line, track):
     n = line.n
     if line.rule != "init" and line.rule not in rules:
         return "rule %s not allowed by the proof header" % line.rule
+    backend = session.backend
     d = session.diagram(line.diagram_id)
     sid = session.diagram_structure(line.diagram_id)
 
@@ -622,7 +744,8 @@ def _check_line(session, phi, line, track):
         j = line.clause_index
         if not 0 <= j < len(phi.clauses):
             return "init clause index out of range"
-        if not session.equal(d, session.clause_diagram(sid, phi.clauses[j])):
+        if not backend.equal(
+                d, backend.clause(session.store(sid), phi.clauses[j])):
             return "init diagram does not match clause %d" % j
         if track is not None:
             track[n] = frozenset((j,))
@@ -640,7 +763,7 @@ def _check_line(session, phi, line, track):
         if session.structure_value(sa) != value \
                 or session.structure_value(sb) != value:
             return "join structure mismatch"
-        if not session.join_ok(da, db, d):
+        if not backend.join_ok(da, db, d):
             return "join mismatch"
         if track is not None:
             track[n] = track[i] | track[k]
@@ -650,7 +773,7 @@ def _check_line(session, phi, line, track):
         da, sa = session.line_diagram(line.refs[0])
         if session.structure_value(sa) != session.structure_value(sid):
             return "weaken structure mismatch"
-        if not session.entails(da, d):
+        if not backend.entails(da, d):
             return "weakening does not hold"
         return None
 
@@ -664,7 +787,7 @@ def _check_line(session, phi, line, track):
         new_value = session.structure_value(sid)
         if old_value == new_value:
             return "reorder does not change the structure"
-        if session.structure_leaves(old_sid) != session.structure_leaves(sid):
+        if backend.leaves(old_value) != backend.leaves(new_value):
             return "reorder structure has different leaves"
         if "weaken" in rules:
             chain = [old_d]
@@ -677,10 +800,11 @@ def _check_line(session, phi, line, track):
             return None
         if line.cert_ids:
             return "reorder certificates only apply with weakening"
-        if session.count_full(old_d, old_sid) != session.count_full(d, sid):
+        if session.count(old_d, old_sid) != session.count(d, sid):
             return "reorder model counts differ"
         for j in sorted(track[i]):
-            if not session.entails_clause(d, sid, phi.clauses[j]):
+            if not backend.entails_clause(
+                    session.store(sid), d, phi.clauses[j]):
                 return "reorder result does not entail clause %d" % j
         track[n] = track[i]
         return None
@@ -693,7 +817,7 @@ def _check_line(session, phi, line, track):
             return "move structure annotation disagrees with its diagram"
         old_value = session.structure_value(old_sid)
         try:
-            expected, reason = session.move_structure(
+            expected, reason = backend.moved(
                 old_value, line.var, line.w_path, line.direction)
         except StructureError as exc:
             return "invalid move: %s" % exc
@@ -740,7 +864,7 @@ def check_proof(phi, proof, cap=10 ** 7):
         stats["max_diagram_size"] = max(stats["max_diagram_size"], size)
         stats["total_nodes"] += size
     last = proof.lines[-1]
-    if not session.is_false(session.objs[last.diagram_id]):
+    if not session.backend.is_false(session.objs[last.diagram_id]):
         return Verdict(False, last.n,
                        "final line is not the constant-false diagram", stats)
     return Verdict(True, None, None, stats)
@@ -919,14 +1043,6 @@ def resolution_to_obddw(phi, r, order=None):
 
 # ---------------------------------------------------------------- restriction
 
-def _restrict_diagram(fmt, session, d, assignment):
-    if fmt == "obdd":
-        return obdd_restrict(d, assignment)
-    if fmt == "sdd":
-        return sdd_restrict(d, assignment)
-    return dsdnnf_restrict(d, assignment)
-
-
 def restrict_proof(phi, proof, assignment):
     """Apply a partial assignment through a weakening-free proof.
 
@@ -957,8 +1073,7 @@ def restrict_proof(phi, proof, assignment):
 
     def out_diagram(line):
         d = session.diagram(line.diagram_id)
-        restricted = _restrict_diagram(
-            proof.system.format, session, d, assignment)
+        restricted = session.backend.restrict(d, assignment)
         sid = session.diagram_structure(line.diagram_id)
         return out.add_diagram(out_sid(sid), diagram_payload(restricted))
 

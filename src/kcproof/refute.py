@@ -16,70 +16,45 @@ command line's business.
 
 from .cnf import (CapExceeded, TreeDecomposition, primal_graph,
                   tree_decomposition)
-from .structure import (StructureError, Vtree, remove_leaf,
-                        right_linear_vtree, vtree_from_decomposition,
-                        vtree_node)
-from .obdd import (ObddError, ObddRef, ObddStore, migrate, obdd_apply,
-                   obdd_from_clause)
-from .sdd import (SddError, SddRef, SddStore, rebind, sdd_apply,
-                  sdd_compile_cnf, sdd_equal, sdd_from_clause)
-from .dsdnnf import (Circuit, clause_circuit, dsdnnf_conjoin, dsdnnf_equiv,
-                     dsdnnf_restrict, sdd_to_dsdnnf)
-from .obdd import obdd_restrict
-from .sdd import sdd_restrict
+from .structure import (StructureError, Vtree, right_linear_vtree,
+                        vtree_from_decomposition, vtree_node)
+from .obdd import ObddError, ObddStore
+from .sdd import SddError, SddStore
+from .dsdnnf import sdd_to_dsdnnf
 from .zoo import LiftedFormula, ZooError, eq_formula, lift_C, lift_Z
-from .proofs import (Proof, ProofSystem, ResolutionProof, _Session,
-                     check_proof, diagram_payload, track_clause_sets)
+from .proofs import (BACKENDS, Proof, ProofError, ProofSystem,
+                     ResolutionProof, _Session, backend_of, check_proof,
+                     diagram_payload, fold_clauses, fold_trace,
+                     track_clause_sets)
 
 
 class RefuteError(Exception):
     pass
 
 
-# ---------------------------------------------------------- format dispatch
-
-def _mk_store(fmt, structure):
-    try:
-        if fmt == "obdd":
-            return ObddStore(structure)
-        return SddStore(structure)
-    except (ObddError, SddError, StructureError) as err:
-        raise RefuteError("invalid structure: %s" % err)
-
-
-def _clause_diagram(fmt, store, clause):
-    if fmt == "obdd":
-        return obdd_from_clause(store, clause)
-    if fmt == "sdd":
-        return sdd_from_clause(store, clause)
-    return clause_circuit(clause, store)
-
-
-def _conjoin(fmt, a, b, store):
-    if fmt == "obdd":
-        return obdd_apply("and", a, b)
-    if fmt == "sdd":
-        return sdd_apply("and", a, b)
-    return dsdnnf_conjoin(a, b, store)
-
-
-def _equal(fmt, a, b):
-    if fmt == "obdd":
-        return a.store is b.store and a.node == b.node
-    if fmt == "sdd":
-        return sdd_equal(a, b)
-    return dsdnnf_equiv(a, b)
-
-
-def _restrict(fmt, d, assignment):
-    if fmt == "obdd":
-        return obdd_restrict(d, assignment)
-    if fmt == "sdd":
-        return sdd_restrict(d, assignment)
-    return dsdnnf_restrict(d, assignment)
-
-
 # ------------------------------------------------------------- naive folding
+
+def fold_backend(fmt):
+    """The backend a producer folds fmt diagrams in, and the export of its
+    diagrams to fmt.  Circuits are folded as SDDs, which stay canonical
+    and reduced, and each diagram is exported; a product of circuits
+    grows with every join."""
+    if fmt == "dsdnnf":
+        return BACKENDS["sdd"], sdd_to_dsdnnf
+    return BACKENDS[fmt], lambda d: d
+
+
+def _emit_fold(proof, emit, folded, start, acc_line=None):
+    """One init line per clause of a fold, numbered from start, and one
+    join line onto acc_line per conjunction; returns the last conjunction
+    and its line."""
+    acc = None
+    for index, (d, acc) in enumerate(folded, start):
+        line = proof.add_init(index, emit(d))
+        acc_line = line if acc_line is None \
+            else proof.add_join(acc_line, line, emit(acc))
+    return acc, acc_line
+
 
 def naive_conjoin_refute(phi, structure, fmt=None):
     """Init every clause of phi over one shared structure, then fold
@@ -94,41 +69,29 @@ def naive_conjoin_refute(phi, structure, fmt=None):
         fmt = fmt or "obdd"
         if fmt != "obdd":
             raise RefuteError("a variable order fixes the format to obdd")
-        leaves = set(structure)
     elif isinstance(structure, Vtree):
         fmt = fmt or "sdd"
         if fmt not in ("sdd", "dsdnnf"):
             raise RefuteError("a vtree means the sdd or dsdnnf format")
-        leaves = structure.variables
     else:
         raise RefuteError("structure must be a variable order or a vtree")
+    backend, export = fold_backend(fmt)
     mentioned = {abs(lit) for clause in phi.clauses for lit in clause}
-    if not mentioned <= leaves:
+    if not mentioned <= backend.leaves(structure):
         raise RefuteError("structure does not cover the formula variables")
     if phi.num_clauses == 0:
         raise RefuteError("formula has no clauses")
-    # circuits are folded as SDDs, which stay canonical and reduced, and
-    # each line is exported; a product of circuits grows with every join
-    work = "sdd" if fmt == "dsdnnf" else fmt
-    store = _mk_store(work, structure)
+    try:
+        store = backend.store(structure)
+    except (ObddError, SddError, StructureError) as err:
+        raise RefuteError("invalid structure: %s" % err)
     proof = Proof(ProofSystem(fmt, ("join",)))
     sid = proof.add_structure(structure)
 
     def emit(d):
-        if fmt == "dsdnnf":
-            d = sdd_to_dsdnnf(d)
-        return proof.add_diagram(sid, diagram_payload(d))
+        return proof.add_diagram(sid, diagram_payload(export(d)))
 
-    acc = None
-    acc_line = None
-    for index, clause in enumerate(phi.clauses):
-        d = _clause_diagram(work, store, clause)
-        line = proof.add_init(index, emit(d))
-        if acc is None:
-            acc, acc_line = d, line
-        else:
-            acc = _conjoin(work, acc, d, store)
-            acc_line = proof.add_join(acc_line, line, emit(acc))
+    _emit_fold(proof, emit, fold_clauses(backend, store, phi.clauses), 0)
     return proof
 
 
@@ -233,33 +196,24 @@ def resolution_refute_lifted(Z):
 
 def _trace_store(comp, structure):
     first = comp[0][-1]
-    if isinstance(first, ObddRef):
-        fmt, store, derived = "obdd", first.store, first.store.order
-    elif isinstance(first, SddRef):
-        fmt, store, derived = "sdd", first.store, first.store.vtree
-    elif isinstance(first, Circuit):
-        fmt = "dsdnnf"
-        derived = structure if structure is not None else first.vtree
-        if derived is None:
-            raise RefuteError("circuit traces need an explicit structure")
-        store = derived
-    else:
+    try:
+        backend = backend_of(first)
+    except ProofError:
         raise RefuteError("unrecognized diagram %r in the trace" % (first,))
+    store = backend.store_of(first)
+    if store is None:
+        raise RefuteError("trace diagrams carry no structure")
+    derived = backend.structure_of(store)
     if structure is not None and structure != derived:
         raise RefuteError("trace diagrams disagree with the given structure")
-    return fmt, store, derived
+    return backend, store, derived
 
 
-def _check_trace(comp, fmt, store, m):
+def _check_trace(comp, backend, store, m):
     for pos, step in enumerate(comp):
         ref = step[-1]
-        if fmt == "obdd":
-            ok = isinstance(ref, ObddRef) and ref.store is store
-        elif fmt == "sdd":
-            ok = isinstance(ref, SddRef) and ref.store is store
-        else:
-            ok = isinstance(ref, Circuit) and ref.vtree == store
-        if not ok:
+        if not (isinstance(ref, backend.diagram_type)
+                and backend.store_of(ref) == store):
             raise RefuteError("trace step %d leaves the shared store" % pos)
         if step[0] == "init":
             if not 0 <= step[1] < m:
@@ -290,20 +244,17 @@ def compilation_to_refutation(comp, Z, structure=None):
     lay = _chain_layout(Z)
     if not comp:
         raise RefuteError("empty compilation trace")
-    fmt, store, structure = _trace_store(comp, structure)
-    _check_trace(comp, fmt, store, lay.m)
-    leaves = set(structure) if fmt == "obdd" else structure.variables
-    mentioned = {abs(lit) for clause in Z.result.clauses for lit in clause}
-    if not mentioned <= leaves:
+    backend, store, structure = _trace_store(comp, structure)
+    _check_trace(comp, backend, store, lay.m)
+    clauses = Z.result.clauses
+    mentioned = {abs(lit) for clause in clauses for lit in clause}
+    if not mentioned <= backend.leaves(structure):
         raise RefuteError("trace structure does not cover the lifting")
-    expected = None
-    for index in range(lay.m):
-        d = _clause_diagram(fmt, store, Z.result.clauses[index])
-        expected = d if expected is None else _conjoin(fmt, expected, d, store)
-    if not _equal(fmt, comp[-1][-1], expected):
+    expected, _ = fold_trace(backend, store, clauses[:lay.m])
+    if not backend.equal(comp[-1][-1], expected):
         raise RefuteError("compilation does not equal the control lifting")
 
-    proof = Proof(ProofSystem(fmt, ("join",)))
+    proof = Proof(ProofSystem(backend.name, ("join",)))
     sid = proof.add_structure(structure)
 
     def emit(ref):
@@ -317,29 +268,18 @@ def compilation_to_refutation(comp, Z, structure=None):
             line_of.append(proof.add_join(
                 line_of[step[1]], line_of[step[2]], emit(step[3])))
 
-    def join_clause(index, cur_ref, cur_line):
-        d = _clause_diagram(fmt, store, Z.result.clauses[index])
-        line = proof.add_init(index, emit(d))
-        joined = _conjoin(fmt, cur_ref, d, store)
-        return joined, proof.add_join(cur_line, line, emit(joined))
+    def fold(start, stop, acc=None, acc_line=None):
+        folded = fold_clauses(backend, store, clauses[start:stop], acc)
+        return _emit_fold(proof, emit, folded, start, acc_line)
 
-    cur_ref, cur_line = comp[-1][-1], line_of[-1]
-    cur_ref, cur_line = join_clause(lay.z1_index, cur_ref, cur_line)
+    cur_ref, cur_line = fold(lay.z1_index, lay.z1_index + 1,
+                             comp[-1][-1], line_of[-1])
     for i in range(1, lay.m + 1):
-        block_ref = None
-        block_line = None
-        for t in range(lay.sizes[i - 1] + 1):
-            index = lay.imp_index(i, t)
-            d = _clause_diagram(fmt, store, Z.result.clauses[index])
-            line = proof.add_init(index, emit(d))
-            if block_ref is None:
-                block_ref, block_line = d, line
-            else:
-                block_ref = _conjoin(fmt, block_ref, d, store)
-                block_line = proof.add_join(block_line, line, emit(block_ref))
-        cur_ref = _conjoin(fmt, cur_ref, block_ref, store)
+        start = lay.imp_index(i, 0)
+        block_ref, block_line = fold(start, start + lay.sizes[i - 1] + 1)
+        cur_ref = backend.conjoin(store, cur_ref, block_ref)
         cur_line = proof.add_join(cur_line, block_line, emit(cur_ref))
-    join_clause(lay.last_index, cur_ref, cur_line)
+    fold(lay.last_index, lay.last_index + 1, cur_ref, cur_line)
     return proof
 
 
@@ -380,7 +320,7 @@ def treewidth_refute(phi):
     n, m = phi.num_vars, phi.num_clauses
     chain = right_linear_vtree(tuple(range(n + m + 1, n + 2 * m + 2)))
     store = SddStore(vtree_node(base_tree, chain))
-    _, trace = sdd_compile_cnf(control, store)
+    _, trace = fold_trace(BACKENDS["sdd"], store, control.clauses)
     return compilation_to_refutation(trace, Z), {"width": td.width}
 
 
@@ -407,17 +347,7 @@ def obdd_refute_eq(n, shift):
                       4 * n + 2 * k + 1, 4 * n + 2 * k + 2))
     order.append(6 * n + 1)
     store = ObddStore(tuple(order))
-    control = lift_C(phi)
-    trace = []
-    acc = None
-    for index, clause in enumerate(control.clauses):
-        ref = obdd_from_clause(store, clause)
-        trace.append(("init", index, ref))
-        if acc is None:
-            acc = ref
-        else:
-            acc = obdd_apply("and", acc, ref)
-            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
+    _, trace = fold_trace(BACKENDS["obdd"], store, lift_C(phi).clauses)
     return compilation_to_refutation(trace, lift_Z(phi))
 
 
@@ -508,7 +438,7 @@ def extract_representation(P, Z, var_cap=22):
     if not verdict.accepted:
         raise RefuteError("proof rejected: %s" % verdict.reason)
     session = _Session(P, 10 ** 7)
-    fmt = P.system.format
+    backend = session.backend
 
     number = len(P.lines)
     while True:
@@ -522,10 +452,10 @@ def extract_representation(P, Z, var_cap=22):
         left, right = line.refs
         d_left, sid = session.line_diagram(left)
         d_right, _ = session.line_diagram(right)
-        if session.count_full(d_left, sid) == 0:
+        if session.count(d_left, sid) == 0:
             number = left
             continue
-        if session.count_full(d_right, sid) == 0:
+        if session.count(d_right, sid) == 0:
             number = right
             continue
         break
@@ -544,7 +474,7 @@ def extract_representation(P, Z, var_cap=22):
         if missing is None:
             raise RefuteError("a satisfiable line carries every clause")
         a = _case_assignment(lay, Z.base, missing)
-        pieces.append(_restrict(fmt, diagram, a))
+        pieces.append(backend.restrict(diagram, a))
         for b in range(1, lay.m + 1):
             clause = Z.result.clauses[b - 1]
             if any(a.get(abs(lit)) == (1 if lit > 0 else 0)
@@ -557,26 +487,13 @@ def extract_representation(P, Z, var_cap=22):
         raise CapExceeded(
             "representation needs %d variables, cap is %d"
             % (len(mention), var_cap))
-    out = _conjoin(fmt, pieces[0], pieces[1], store)
-    for b in sorted(satisfied):
-        d = _clause_diagram(fmt, store, Z.base.clauses[b - 1])
-        out = _conjoin(fmt, out, d, store)
-    return _drop_lifting_structure(fmt, out, lay, store)
-
-
-def _drop_lifting_structure(fmt, out, lay, store):
-    """Re-express the result over the structure induced on the base
-    variables.  The restrictions assigned every control and chain
-    variable, so obdd and sdd results no longer depend on them; circuits
-    keep the full vtree because their smoothing gadgets mention every
-    leaf."""
+    out = backend.conjoin(store, pieces[0], pieces[1])
+    base_clauses = [Z.base.clauses[b - 1] for b in sorted(satisfied)]
+    for _, out in fold_clauses(backend, store, base_clauses, out):
+        pass
+    # The restrictions assigned every control and chain variable, so the
+    # result no longer depends on them: re-express it over the structure
+    # induced on the base variables.
     lifted = set(range(lay.n + 1, lay.z(lay.m + 1) + 1))
-    if fmt == "obdd":
-        target = ObddStore(tuple(v for v in store.order if v not in lifted))
-        return migrate(target, out)
-    if fmt == "sdd":
-        tree = store.vtree
-        for var in sorted(lifted & tree.variables):
-            tree = remove_leaf(tree, var)
-        return rebind(SddStore(tree), out)
-    return out
+    target = backend.without(session.structure_value(sid), lifted)
+    return backend.rebase(backend.store(target), out)

@@ -527,29 +527,12 @@ def sdd_truth_mask(d, num_vars):
 def sdd_compile_cnf(phi, store):
     """Clause-by-clause left-fold conjunction of phi inside the store.
 
-    Returns (final diagram, trace).  The trace is a list of steps
-    ("init", clause_index, ref) and ("join", i, j, ref) with i, j indexing
-    earlier steps; the last step holds the final diagram.
+    Returns (final diagram, trace) as kcproof.proofs.fold_trace does: the
+    trace is a list of steps ("init", clause_index, ref) and
+    ("join", i, j, ref) with i, j indexing earlier steps.
     """
-    for clause in phi.clauses:
-        for lit in clause:
-            if abs(lit) not in store.vtree.variables:
-                raise SddError("formula variable %d not in vtree" % abs(lit))
-    trace = []
-    acc = None
-    for index, clause in enumerate(phi.clauses):
-        ref = sdd_from_clause(store, clause)
-        trace.append(("init", index, ref))
-        if acc is None:
-            acc = ref
-        else:
-            joined = sdd_apply("and", acc, ref)
-            # the accumulator is the step before the init just appended
-            trace.append(("join", len(trace) - 2, len(trace) - 1, joined))
-            acc = joined
-    if acc is None:
-        acc = sdd_const(store, True)
-    return acc, trace
+    from .proofs import BACKENDS, fold_trace  # proofs imports this module
+    return fold_trace(BACKENDS["sdd"], store, phi.clauses)
 
 
 # -------------------------------------------------------------- serialization
