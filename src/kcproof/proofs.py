@@ -53,6 +53,7 @@ from kcproof.sdd import (
     SddError,
     SddRef,
     SddStore,
+    drop_leaf,
     rebind,
     sdd_apply,
     sdd_const,
@@ -246,6 +247,21 @@ class _Backend:
         return self.equal(self.conjoin(store, self.rebase(store, a),
                                        self.rebase(store, b)), c)
 
+    def move_ok(self, old_d, new_d, x):
+        """The two restriction halves of the old diagram, re-anchored on
+        the moved structure, must partition the new diagram by count."""
+        store = self.store_of(new_d)
+        structure = self.structure_of(store)
+        halves = []
+        for value, lit in ((0, -x), (1, x)):
+            part = self.rebase(store, self.restrict(old_d, {x: value}))
+            part = self.conjoin(store, part, self.clause(store, (lit,)))
+            product = self.conjoin(store, part, new_d)
+            if self.count(part, structure) != self.count(product, structure):
+                return False
+            halves.append(self.count(part, structure))
+        return sum(halves) == self.count(new_d, structure)
+
     def entails_clause(self, store, d, clause):
         return self.entails(d, self.clause(store, clause))
 
@@ -348,6 +364,22 @@ class _SddBackend(_Backend):
 
     def entails(self, a, b):
         return sdd_entails(self.rebase(b.store, a), b)
+
+    def move_ok(self, old_d, new_d, x):
+        """Both vtrees without x are one vtree, so the diagrams agree when
+        their counts do and their restrictions on x = 0 and on x = 1,
+        spliced onto that vtree by drop_leaf, are equal (Shannon
+        expansion).  Canonical diagrams make this linear."""
+        old_tree, new_tree = old_d.store.vtree, new_d.store.vtree
+        if self.count(old_d, old_tree) != self.count(new_d, new_tree):
+            return False
+        common = SddStore(self.without(old_tree, {x}))
+        for value in (0, 1):
+            a = drop_leaf(common, sdd_restrict(old_d, {x: value}), x)
+            b = drop_leaf(common, sdd_restrict(new_d, {x: value}), x)
+            if not sdd_equal(a, b):
+                return False
+        return True
 
     def count(self, d, tree):
         return sdd_count(d, tree.variables)
@@ -700,21 +732,6 @@ class _Session:
         """Models of d over the leaves of structure sid."""
         return self.backend.count(d, self.proof.structures[sid])
 
-    def move_counts_ok(self, old_d, new_d, x, new_sid):
-        """The two restriction halves of the old diagram, re-anchored on
-        the moved structure, must partition the new diagram by count."""
-        backend, store = self.backend, self.store(new_sid)
-        halves = []
-        for value, lit in ((0, -x), (1, x)):
-            part = backend.rebase(store, backend.restrict(old_d, {x: value}))
-            part = backend.conjoin(store, part,
-                                   backend.clause(store, (lit,)))
-            product = backend.conjoin(store, part, new_d)
-            if self.count(part, new_sid) != self.count(product, new_sid):
-                return False
-            halves.append(self.count(part, new_sid))
-        return sum(halves) == self.count(new_d, new_sid)
-
 
 def _single_move_step(a, b):
     """True when two diagrams over orders one variable move apart agree."""
@@ -825,7 +842,7 @@ def _check_line(session, phi, line, track):
             return reason
         if expected != session.structure_value(sid):
             return "move structure mismatch"
-        if not session.move_counts_ok(old_d, d, line.var, sid):
+        if not backend.move_ok(old_d, d, line.var):
             return "move count equations fail"
         if track is not None:
             track[n] = track[i]
@@ -841,7 +858,9 @@ def check_proof(phi, proof, cap=10 ** 7):
     header allows and the final line is the constant-false diagram.  A
     blown resource cap is reported distinctly from a logical rejection
     (Verdict.resource); malformed payloads reject at the first line that
-    needs them.
+    needs them.  The result is always a verdict: inside a line, a
+    RecursionError or MemoryError counts as a blown cap and any other
+    exception as a malformed line.
     """
     stats = {"lines": len(proof.lines), "max_diagram_size": 0,
              "total_nodes": 0}
@@ -858,6 +877,12 @@ def check_proof(phi, proof, cap=10 ** 7):
         except (ProofError, CnfError, StructureError, ObddError, SddError,
                 DsdnnfError) as exc:
             return Verdict(False, line.n, "malformed: %s" % exc, stats)
+        except (RecursionError, MemoryError) as exc:
+            return Verdict(False, line.n, "resource cap exceeded: %s"
+                           % type(exc).__name__, stats)
+        except Exception as exc:
+            return Verdict(False, line.n, "malformed: %s: %s"
+                           % (type(exc).__name__, exc), stats)
         if reason is not None:
             return Verdict(False, line.n, reason, stats)
         size = session.sizes[line.diagram_id]

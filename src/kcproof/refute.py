@@ -194,7 +194,7 @@ def resolution_refute_lifted(Z):
 
 # ------------------------------------------------- compilation to refutation
 
-def _trace_store(comp, structure):
+def _trace_store(comp):
     first = comp[0][-1]
     try:
         backend = backend_of(first)
@@ -203,10 +203,7 @@ def _trace_store(comp, structure):
     store = backend.store_of(first)
     if store is None:
         raise RefuteError("trace diagrams carry no structure")
-    derived = backend.structure_of(store)
-    if structure is not None and structure != derived:
-        raise RefuteError("trace diagrams disagree with the given structure")
-    return backend, store, derived
+    return backend, store, backend.structure_of(store)
 
 
 def _check_trace(comp, backend, store, m):
@@ -228,7 +225,7 @@ def _check_trace(comp, backend, store, m):
             raise RefuteError("unknown trace step %r" % (step[0],))
 
 
-def compilation_to_refutation(comp, Z, structure=None):
+def compilation_to_refutation(comp, Z):
     """Extend a conjunction-compilation of the control lifting of Z.base
     into a refutation of Z.
 
@@ -244,7 +241,7 @@ def compilation_to_refutation(comp, Z, structure=None):
     lay = _chain_layout(Z)
     if not comp:
         raise RefuteError("empty compilation trace")
-    backend, store, structure = _trace_store(comp, structure)
+    backend, store, structure = _trace_store(comp)
     _check_trace(comp, backend, store, lay.m)
     clauses = Z.result.clauses
     mentioned = {abs(lit) for clause in clauses for lit in clause}

@@ -30,7 +30,8 @@ Internal constant-true/false are ordinary decision nodes reachable through
 true_at/false_at and are canonical by hash-consing.
 """
 
-from .structure import Vtree, node_table, path_to_text, parse_path
+from .structure import (StructureError, Vtree, node_table, path_to_text,
+                        parse_path, remove_leaf)
 
 
 class SddError(Exception):
@@ -491,6 +492,72 @@ def rebind(target, d):
         return result
 
     return SddRef(target, rec(d.node))
+
+
+def drop_leaf(target, d, var):
+    """Re-express a diagram that does not mention var in a store over its
+    vtree with var's leaf removed (structure.remove_leaf), in time linear
+    in the diagram.
+
+    Every node keeps its elements; the node bound to the parent p of
+    var's leaf is spliced out, and the nodes below var's sibling move up
+    one step.  When var is p's left child, p has the one element
+    (true, s) and becomes s; when it is the right child, p becomes the
+    prime whose sub is true, or false.  Children have smaller ids than
+    their parents, so one ascending pass over the reachable ids maps
+    every child before its parents.
+    """
+    store = d.store
+    try:
+        expected = remove_leaf(store.vtree, var)
+    except StructureError as exc:
+        raise SddError(str(exc))
+    if target.vtree != expected:
+        raise SddError("target vtree is not the source vtree without x%d"
+                       % var)
+    leaf = store.leaf_path[var]
+    parent, var_left = leaf[:-1], leaf[-1] == "L"
+    sibling = parent + ("R" if var_left else "L")
+    reachable = set()
+    stack = [d.node]
+    while stack:
+        t = stack.pop()
+        if t not in reachable:
+            reachable.add(t)
+            descriptor = store.nodes[t]
+            if descriptor[0] == "dec":
+                stack.extend(node for element in descriptor[2]
+                             for node in element)
+    mapped = {}
+    for t in sorted(reachable):
+        descriptor = store.nodes[t]
+        path = descriptor[1]
+        if path == leaf:
+            if descriptor[0] == "lit":
+                raise SddError("diagram mentions x%d" % var)
+            continue  # a constant under p, consumed when p is mapped
+        if path == parent:
+            # its primes or subs are constants: a literal raised above
+            elements = descriptor[2]
+            if var_left:
+                if len(elements) != 1:
+                    raise SddError("diagram depends on x%d" % var)
+                mapped[t] = mapped[elements[0][1]]
+            else:
+                primes = [prime for prime, sub in elements
+                          if store.nodes[sub][0] == "true"]
+                mapped[t] = mapped[primes[0]] if primes \
+                    else target.false_at(parent)
+            continue
+        if path.startswith(sibling):
+            path = parent + path[len(sibling):]
+        if descriptor[0] == "dec":
+            mapped[t] = target.mk_dec(path, tuple(
+                (mapped[prime], mapped[sub])
+                for prime, sub in descriptor[2]))
+        else:
+            mapped[t] = target.atom((descriptor[0], path) + descriptor[2:])
+    return SddRef(target, mapped[d.node])
 
 
 def sdd_truth_mask(d, num_vars):

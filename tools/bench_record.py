@@ -1,0 +1,139 @@
+"""Record benchmark runs of one or more source trees in BENCH_<pr>.json.
+
+    python3 tools/bench_record.py --pr N --tree parent=../p --tree change=. \\
+        --workload sdd_moves --seed 11 --seed 12 --seconds 15
+
+For every workload and seed, ``perfbench/run.py`` runs once per tree, in
+the order given for the first seed, reversed for the second and so on, so
+that two trees form pairs that alternate which runs first.  Each run
+happens in its tree's own checkout and process.  Its last output line
+(the JSON result) is stored with the proof SHA-256 and repetition count of
+the line before it.  Runs already in the file are kept, so a long series
+can be recorded in several calls.  The summary gives, per workload, tree
+and end-to-end metric, the median and quartiles over the recorded runs;
+with exactly two trees it also counts the seeds on which the second tree
+did better, in the direction ``BENCHMARK.json`` declares.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(tree, workload, seed, seconds, trace):
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    record = {"exit": done.returncode, "result": None}
+    if done.returncode == 0 and len(lines) >= 2:
+        info = json.loads(lines[-2])
+        record["proof_sha256"] = info["proof_sha256"]
+        record["reps"] = info["reps"]
+        record["result"] = json.loads(lines[-1])
+    else:
+        record["stderr"] = done.stderr[-2000:]
+    return record
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs, labels, better):
+    summary = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        mine = [r for r in runs if r["workload"] == workload
+                and r["result"] is not None and not r["trace"]]
+        table = summary.setdefault(workload, {})
+        for metric, lower in sorted(better.items()):
+            entry = {}
+            values = {}
+            for label in labels:
+                values[label] = {r["seed"]: r["result"]["metrics"][metric]
+                                 ["value"] for r in mine
+                                 if r["tree"] == label
+                                 and metric in r["result"]["metrics"]}
+                if values[label]:
+                    q1, median, q3 = quartiles(sorted(values[label].values()))
+                    entry[label] = {"median": median, "q1": q1, "q3": q3,
+                                    "runs": len(values[label])}
+            if len(labels) == 2:
+                first, second = (values[label] for label in labels)
+                seeds = sorted(set(first) & set(second))
+                entry["pairs"] = len(seeds)
+                entry["second_better"] = sum(
+                    (second[s] < first[s]) if lower else (second[s] > first[s])
+                    for s in seeds)
+            if entry:
+                table[metric] = entry
+    return summary
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True,
+                        help="names the output file, BENCH_<pr>.json at "
+                             "the root of this script's checkout")
+    parser.add_argument("--tree", action="append", required=True,
+                        metavar="LABEL=DIR",
+                        help="a source tree to run, in order; repeatable")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", action="append", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+    trees = []
+    for spec in args.tree:
+        label, sep, directory = spec.partition("=")
+        if not sep or not label:
+            parser.error("--tree takes LABEL=DIR, not %r" % spec)
+        trees.append((label, os.path.abspath(directory)))
+
+    out = os.path.join(ROOT, "BENCH_%s.json" % args.pr)
+    runs, labels = [], []
+    if os.path.exists(out):
+        with open(out) as handle:
+            old = json.load(handle)
+        runs, labels = old["runs"], old["trees"]
+    labels += [label for label, _ in trees if label not in labels]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        better = {m["name"]: m["better"] == "lower"
+                  for m in json.load(handle)["end_to_end"]}
+    failed = 0
+    for workload in args.workload:
+        for index, seed in enumerate(args.seed):
+            for label, directory in (trees[::-1] if index % 2 else trees):
+                record = {"workload": workload, "seed": seed, "tree": label,
+                          "seconds": args.seconds, "trace": args.trace}
+                record.update(run_once(directory, workload, seed,
+                                       args.seconds, args.trace))
+                runs.append(record)
+                correct = record["result"] is not None \
+                    and record["result"]["correct"]
+                failed += not correct
+                print("%s seed %d %s: %s" % (
+                    workload, seed, label,
+                    "correct" if correct else "FAILED"), flush=True)
+                # rewritten after every run, so an interrupted series
+                # keeps what it measured
+                with open(out, "w") as handle:
+                    json.dump({"trees": labels, "runs": runs,
+                               "summary": summarize(runs, labels, better)},
+                              handle, indent=1, sort_keys=True)
+                    handle.write("\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
