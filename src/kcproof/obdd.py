@@ -7,7 +7,8 @@ complement edges.  Node ids 0 and 1 are the constant-false and constant-true
 sinks; every other id is an internal (var, lo, hi) node.
 """
 
-from .structure import single_variable_move
+from .structure import (StructureError, order_to_text, parse_order,
+                        single_variable_move)
 
 
 class ObddError(Exception):
@@ -530,7 +531,7 @@ def obdd_from_lines(store, lines):
 
 
 def obdd_to_text(d):
-    order_line = "o " + " ".join("x%d" % v for v in d.store.order)
+    order_line = "o " + order_to_text(d.store.order)
     return "\n".join([order_line] + obdd_to_lines(d)) + "\n"
 
 
@@ -538,10 +539,8 @@ def parse_obdd(text):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("o "):
         raise ObddError("missing order line")
-    order = []
-    for tok in lines[0][2:].split():
-        if not tok.startswith("x"):
-            raise ObddError("bad order token %r" % tok)
-        order.append(int(tok[1:]))
-    store = ObddStore(tuple(order))
-    return obdd_from_lines(store, lines[1:])
+    try:
+        order = parse_order(lines[0][2:])
+    except StructureError as exc:
+        raise ObddError(str(exc))
+    return obdd_from_lines(ObddStore(order), lines[1:])

@@ -37,7 +37,6 @@ from kcproof.obdd import (
     ObddStore,
     migrate,
     obdd_apply,
-    obdd_check_move,
     obdd_const,
     obdd_count,
     obdd_entails,
@@ -243,24 +242,21 @@ class _Backend:
         return move(structure, var, w_path, direction), None
 
     def join_ok(self, a, b, c):
-        store = self.store_of(c)
-        return self.equal(self.conjoin(store, self.rebase(store, a),
-                                       self.rebase(store, b)), c)
+        return self.equal(self.conjoin(self.store_of(c), a, b), c)
 
     def move_ok(self, old_d, new_d, x):
-        """The two restriction halves of the old diagram, re-anchored on
-        the moved structure, must partition the new diagram by count."""
-        store = self.store_of(new_d)
-        structure = self.structure_of(store)
-        halves = []
-        for value, lit in ((0, -x), (1, x)):
-            part = self.rebase(store, self.restrict(old_d, {x: value}))
-            part = self.conjoin(store, part, self.clause(store, (lit,)))
-            product = self.conjoin(store, part, new_d)
-            if self.count(part, structure) != self.count(product, structure):
-                return False
-            halves.append(self.count(part, structure))
-        return sum(halves) == self.count(new_d, structure)
+        """Equality across structures that agree once x is removed, by
+        Shannon expansion over one store without x.  The counts, compared
+        first, reject most dishonest moves in linear time."""
+        old_s = self.structure_of(self.store_of(old_d))
+        new_s = self.structure_of(self.store_of(new_d))
+        if self.count(old_d, old_s) != self.count(new_d, new_s):
+            return False
+        common = self.store(self.without(old_s, {x}))
+        return all(
+            self.equal(self.drop(common, self.restrict(old_d, {x: value}), x),
+                       self.drop(common, self.restrict(new_d, {x: value}), x))
+            for value in (0, 1))
 
     def entails_clause(self, store, d, clause):
         return self.entails(d, self.clause(store, clause))
@@ -302,7 +298,7 @@ class _ObddBackend(_Backend):
         return obdd_equal(a, b)
 
     def entails(self, a, b):
-        return obdd_entails(self.rebase(b.store, a), b)
+        return obdd_entails(a, b)
 
     def count(self, d, order):
         return obdd_count(d, set(order))
@@ -325,6 +321,9 @@ class _ObddBackend(_Backend):
 
     def without(self, order, variables):
         return tuple(v for v in order if v not in variables)
+
+    def drop(self, store, d, var):
+        return migrate(store, d)
 
 
 class _SddBackend(_Backend):
@@ -360,26 +359,10 @@ class _SddBackend(_Backend):
         return d if d.store is store else rebind(store, d)
 
     def equal(self, a, b):
-        return sdd_equal(a, self.rebase(a.store, b))
+        return sdd_equal(a, b)
 
     def entails(self, a, b):
-        return sdd_entails(self.rebase(b.store, a), b)
-
-    def move_ok(self, old_d, new_d, x):
-        """Both vtrees without x are one vtree, so the diagrams agree when
-        their counts do and their restrictions on x = 0 and on x = 1,
-        spliced onto that vtree by drop_leaf, are equal (Shannon
-        expansion).  Canonical diagrams make this linear."""
-        old_tree, new_tree = old_d.store.vtree, new_d.store.vtree
-        if self.count(old_d, old_tree) != self.count(new_d, new_tree):
-            return False
-        common = SddStore(self.without(old_tree, {x}))
-        for value in (0, 1):
-            a = drop_leaf(common, sdd_restrict(old_d, {x: value}), x)
-            b = drop_leaf(common, sdd_restrict(new_d, {x: value}), x)
-            if not sdd_equal(a, b):
-                return False
-        return True
+        return sdd_entails(a, b)
 
     def count(self, d, tree):
         return sdd_count(d, tree.variables)
@@ -394,6 +377,9 @@ class _SddBackend(_Backend):
         for var in sorted(variables & tree.variables):
             tree = remove_leaf(tree, var)
         return tree
+
+    def drop(self, store, d, var):
+        return drop_leaf(store, d, var)
 
 
 class _DsdnnfBackend(_Backend):
@@ -463,6 +449,12 @@ class _DsdnnfBackend(_Backend):
     def without(self, tree, variables):
         # smoothing gadgets mention every leaf, so the vtree stays whole
         return tree
+
+    def drop(self, tree, d, var):
+        # a circuit that does not mention var respects every vtree that
+        # equals its own once var's leaf is removed
+        d.vtree = tree
+        return d
 
 
 BACKENDS = {backend.name: backend for backend in
@@ -607,6 +599,8 @@ def proof_from_lines(lines):
             proof.diagrams[did] = (sid, pieces[3])
             proof._diagram_ids[(sid, pieces[3])] = did
         elif parts[0] == "L":
+            if len(parts) < 2:
+                raise ProofError("malformed proof line %r" % text)
             n = _int(parts[1], "line number")
             if n != expected_n:
                 raise ProofError(
@@ -691,15 +685,17 @@ def parse_proof(text):
 class _Session:
     """Working state of one checking run: stores and parsed diagrams.
 
-    One store is kept per structure id, and every payload is parsed at
-    most once.  Parsing validates the payload against its structure.
+    Equal structures share one store, so no rule compares diagrams across
+    stores.  Every payload is parsed at most once, which validates it
+    against its structure.
     """
 
     def __init__(self, proof, cap):
         self.proof = proof
         self.backend = BACKENDS[proof.system.format]
         self.cap = cap
-        self.stores = {}
+        self.stores = {}     # structure id -> store
+        self._shared = {}    # structure -> store
         self.objs = {}
         self.sizes = {}
 
@@ -708,7 +704,10 @@ class _Session:
 
     def store(self, sid):
         if sid not in self.stores:
-            self.stores[sid] = self.backend.store(self.proof.structures[sid])
+            value = self.proof.structures[sid]
+            if value not in self._shared:
+                self._shared[value] = self.backend.store(value)
+            self.stores[sid] = self._shared[value]
         return self.stores[sid]
 
     def diagram(self, did):
@@ -735,14 +734,14 @@ class _Session:
 
 def _single_move_step(a, b):
     """True when two diagrams over orders one variable move apart agree."""
+    backend = BACKENDS["obdd"]
     order_a, order_b = a.store.order, b.store.order
     if set(order_a) != set(order_b):
         return False
     for x in order_a:
-        rest_a = [v for v in order_a if v != x]
-        rest_b = [v for v in order_b if v != x]
-        if rest_a == rest_b and obdd_check_move(a, b, x):
-            return True
+        # move_ok decides equality for any variable the orders agree without
+        if backend.without(order_a, {x}) == backend.without(order_b, {x}):
+            return backend.move_ok(a, b, x)
     return False
 
 
@@ -756,13 +755,13 @@ def _check_line(session, phi, line, track):
     backend = session.backend
     d = session.diagram(line.diagram_id)
     sid = session.diagram_structure(line.diagram_id)
+    store = session.store(sid)
 
     if line.rule == "init":
         j = line.clause_index
         if not 0 <= j < len(phi.clauses):
             return "init clause index out of range"
-        if not backend.equal(
-                d, backend.clause(session.store(sid), phi.clauses[j])):
+        if not backend.equal(d, backend.clause(store, phi.clauses[j])):
             return "init diagram does not match clause %d" % j
         if track is not None:
             track[n] = frozenset((j,))
@@ -776,9 +775,7 @@ def _check_line(session, phi, line, track):
         i, k = line.refs
         da, sa = session.line_diagram(i)
         db, sb = session.line_diagram(k)
-        value = session.structure_value(sid)
-        if session.structure_value(sa) != value \
-                or session.structure_value(sb) != value:
+        if session.store(sa) is not store or session.store(sb) is not store:
             return "join structure mismatch"
         if not backend.join_ok(da, db, d):
             return "join mismatch"
@@ -788,7 +785,7 @@ def _check_line(session, phi, line, track):
 
     if line.rule == "weaken":
         da, sa = session.line_diagram(line.refs[0])
-        if session.structure_value(sa) != session.structure_value(sid):
+        if session.store(sa) is not store:
             return "weaken structure mismatch"
         if not backend.entails(da, d):
             return "weakening does not hold"
@@ -797,14 +794,12 @@ def _check_line(session, phi, line, track):
     if line.rule == "reorder":
         i = line.refs[0]
         old_d, old_sid = session.line_diagram(i)
-        if session.structure_value(line.structure_id) \
-                != session.structure_value(sid):
+        if session.store(line.structure_id) is not store:
             return "reorder structure annotation disagrees with its diagram"
-        old_value = session.structure_value(old_sid)
-        new_value = session.structure_value(sid)
-        if old_value == new_value:
+        if session.store(old_sid) is store:
             return "reorder does not change the structure"
-        if backend.leaves(old_value) != backend.leaves(new_value):
+        if backend.leaves(session.structure_value(old_sid)) \
+                != backend.leaves(session.structure_value(sid)):
             return "reorder structure has different leaves"
         if "weaken" in rules:
             chain = [old_d]
@@ -820,8 +815,7 @@ def _check_line(session, phi, line, track):
         if session.count(old_d, old_sid) != session.count(d, sid):
             return "reorder model counts differ"
         for j in sorted(track[i]):
-            if not backend.entails_clause(
-                    session.store(sid), d, phi.clauses[j]):
+            if not backend.entails_clause(store, d, phi.clauses[j]):
                 return "reorder result does not entail clause %d" % j
         track[n] = track[i]
         return None
@@ -829,8 +823,7 @@ def _check_line(session, phi, line, track):
     if line.rule == "move":
         i = line.refs[0]
         old_d, old_sid = session.line_diagram(i)
-        if session.structure_value(line.structure_id) \
-                != session.structure_value(sid):
+        if session.store(line.structure_id) is not store:
             return "move structure annotation disagrees with its diagram"
         old_value = session.structure_value(old_sid)
         try:
@@ -962,6 +955,8 @@ def parse_resolution(text):
         parts = line.split()
         if parts[0] != "r":
             raise ProofError("unknown statement %r" % line)
+        if len(parts) < 2:
+            raise ProofError("malformed resolution step %r" % line)
         n = _int(parts[1], "step number")
         if n != expected_n:
             raise ProofError(

@@ -5,9 +5,10 @@ root; every decision node is bound to exactly one vtree node, its primes
 normalized to the left child and its subs to the right child, with the primes
 partitioning the left assignment space.  Nodes are hash-consed and kept
 compressed (no two elements of one node share a sub), and the constant
-functions have one canonical node per vtree node, so "is this the false
-diagram" is an id comparison.  Equality of arbitrary diagrams is decided by
-the counting method, not by ids.
+functions have one canonical node per vtree node.  Such diagrams are
+canonical (Darwiche, IJCAI 2011): two diagrams in one store compute the
+same function exactly when their root ids coincide, so equality and
+entailment are id comparisons.
 
 Work that never changes under a fixed vtree is done once: each store
 memoises literal embeddings on (path, literal) and keeps the child paths of
@@ -441,21 +442,17 @@ def sdd_count(d, over):
 
 
 def sdd_equal(d1, d2):
-    """Counting method: #D1 = #D2 = #(D1 and D2)."""
+    """Equality by node id.  One node is one function, and compressed
+    diagrams normalized at one vtree node are canonical (Darwiche, IJCAI
+    2011), so equal functions in one store share their node."""
     _same_store(d1, d2)
-    if d1.node == d2.node:
-        return True
-    store = d1.store
-    c1, c2 = store.count(d1.node), store.count(d2.node)
-    if c1 != c2:
-        return False
-    return store.count(store.apply("and", d1.node, d2.node)) == c1
+    return d1.node == d2.node
 
 
 def sdd_entails(d1, d2):
+    """D1 entails D2 exactly when D1 and D2 is D1."""
     _same_store(d1, d2)
-    store = d1.store
-    return store.count(store.apply("and", d1.node, d2.node)) == store.count(d1.node)
+    return d1.store.apply("and", d1.node, d2.node) == d1.node
 
 
 def sdd_size(d):

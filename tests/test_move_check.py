@@ -1,7 +1,7 @@
-"""The move rule.  An SDD move line is checked by its model count and by
-comparing the restrictions on the moved variable over the vtree without
-it, where sdd.drop_leaf re-anchors them; OBDD and d-SDNNF move lines by
-the three-count check.  Brute-force truth masks are the oracle."""
+"""The move rule.  A move line is checked by its model count and by
+comparing the restrictions on the moved variable over the structure
+without it; for SDDs sdd.drop_leaf re-anchors them there.  Brute-force
+truth masks are the oracle."""
 
 import random
 import time
