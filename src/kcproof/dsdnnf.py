@@ -13,12 +13,21 @@ conjunctions and disjunctions are built as folds.  A circuit optionally
 carries the vtree it was built against; validators can also be pointed
 at a caller-supplied vtree.
 
-Structural validation assigns each gate the lowest vtree node covering
-its variables and checks the split condition for and-gates and the
-equal-variable-set condition for or-gates.  Determinism is checked by a
-fused product-and-satisfiability recursion over child pairs of every
-or-gate; the pair memo is capped so pathological inputs raise a
-resource error instead of running away.
+Each circuit is analysed at most once per state (root and table length):
+the reachable gate ids in ascending order and, when first needed, the
+variable mask of each reachable gate.  Per vtree the analysis adds each
+gate's binding, the lowest vtree node covering its variables, computed
+bottom-up (a literal binds to its leaf, a gate to the common prefix of
+its children's bindings, a gate mentioning no variable to the leftmost
+leaf), together with the first and-gate whose children are not split at
+its node and the first or-gate whose children mention different variable
+sets.  The validators, the product conjoin, counting and the size and
+variable queries all read that one analysis, so a circuit validated once
+is not walked again when it is conjoined or counted.
+
+Determinism is checked by a fused product-and-satisfiability recursion
+over child pairs of every or-gate; the pair memo is capped so
+pathological inputs raise a resource error instead of running away.
 """
 
 from kcproof.cnf import CapExceeded
@@ -37,6 +46,7 @@ class Circuit:
         self.vtree = vtree
         self.root = None
         self._index = {}
+        self._analysis = None
 
     def add(self, gate):
         """Append a gate verbatim (no folding); returns its id."""
@@ -82,44 +92,92 @@ class Circuit:
         return self._cons(("or", a, b))
 
 
-def _gate_children(gate):
-    return gate[1:] if gate[0] in ("and", "or") else ()
+class _Analysis:
+    """What one state of a circuit says about its structure.
+
+    `order` holds the reachable gate ids, ascending.  `masks` (bit v-1 for
+    variable v, 0 for unreachable gates) and `undecomposable`, the first
+    reachable and-gate whose children share a variable, are filled in on
+    first use.  `trees` maps id(vtree) to (vtree, binding per gate id,
+    first and-gate error, first or-gate error), an error being a pair
+    (gate id, message); holding the vtree keeps its id from being reused.
+    """
+
+    __slots__ = ("key", "order", "masks", "undecomposable", "trees")
+
+    def __init__(self, key, order):
+        self.key = key
+        self.order = order
+        self.masks = None
+        self.undecomposable = None
+        self.trees = {}
+
+
+def _analysis(circuit):
+    """The circuit's analysis, with the reachable gates found.
+
+    Gates are only ever appended, so the root and the table length fix
+    what is reachable and every gate's variables.
+    """
+    key = (circuit.root, len(circuit.gates))
+    a = circuit._analysis
+    if a is None or a.key != key:
+        a = circuit._analysis = _Analysis(key, _reachable(circuit))
+    return a
 
 
 def _reachable(circuit):
+    """Reachable gate ids, ascending; children precede their parents."""
     if circuit.root is None:
         raise DsdnnfError("circuit has no root")
-    seen = set()
-    stack = [circuit.root]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(_gate_children(circuit.gates[i]))
-    return seen
+    gates = circuit.gates
+    live = [False] * len(gates)
+    live[circuit.root] = True
+    for i in range(circuit.root, -1, -1):
+        if live[i]:
+            gate = gates[i]
+            if gate[0] == "and" or gate[0] == "or":
+                live[gate[1]] = live[gate[2]] = True
+    return [i for i in range(circuit.root + 1) if live[i]]
+
+
+def _masked(circuit):
+    """The circuit's analysis, with variable masks of its reachable gates."""
+    a = _analysis(circuit)
+    if a.masks is None:
+        gates = circuit.gates
+        masks = [0] * len(gates)
+        for i in a.order:
+            gate = gates[i]
+            if gate[0] == "lit":
+                masks[i] = 1 << (abs(gate[1]) - 1)
+            elif gate[0] == "and" or gate[0] == "or":
+                m1, m2 = masks[gate[1]], masks[gate[2]]
+                if m1 & m2 and gate[0] == "and" and a.undecomposable is None:
+                    a.undecomposable = i
+                masks[i] = m1 | m2
+        a.masks = masks
+    return a
+
+
+def _decomposable(circuit):
+    """The circuit's analysis with masks; raises naming the first reachable
+    and-gate whose children share a variable."""
+    a = _masked(circuit)
+    if a.undecomposable is not None:
+        raise DsdnnfError("and-gate %d is not decomposable" % a.undecomposable)
+    return a
 
 
 def circuit_size(circuit):
     """Number of gates reachable from the root."""
-    return len(_reachable(circuit))
-
-
-def _var_masks(circuit):
-    """Per-gate variable sets as bitmasks (bit v-1 for variable v)."""
-    masks = [0] * len(circuit.gates)
-    for i, gate in enumerate(circuit.gates):
-        if gate[0] == "lit":
-            masks[i] = 1 << (abs(gate[1]) - 1)
-        elif gate[0] in ("and", "or"):
-            masks[i] = masks[gate[1]] | masks[gate[2]]
-    return masks
+    return len(_analysis(circuit).order)
 
 
 def circuit_vars(circuit):
     """Variables mentioned by gates reachable from the root."""
     gates = circuit.gates
-    return {abs(gates[i][1]) for i in _reachable(circuit)
+    return {abs(gates[i][1]) for i in _analysis(circuit).order
             if gates[i][0] == "lit"}
 
 
@@ -151,44 +209,82 @@ def _vtree_masks(tree):
     return table
 
 
-def _lowest_path(mask, vam):
-    path = ""
-    while path + "L" in vam:
-        if mask & ~vam[path + "L"] == 0:
-            path += "L"
-        elif mask & ~vam[path + "R"] == 0:
-            path += "R"
-        else:
-            break
-    return path
+def _bind(circuit, a, tree):
+    """Bind every reachable gate to the lowest vtree node covering its
+    variables, bottom-up, and find the first gate of each kind that breaks
+    a structural condition.
 
-
-def _bindings(circuit, tree, check_or_sets):
-    """Assign each gate its lowest covering vtree node; check conditions.
-
-    And-gate children must split across the binding node; with
-    check_or_sets, or-gate children must mention equal variable sets.
-    Returns (binding path per gate id, variable mask per gate id).
+    An and-gate must sit on an internal node whose left and right subtrees
+    cover its first and second child; an or-gate's children must mention
+    equal variable sets.
     """
-    check_vtree_leaves(circuit, tree)
     vam = _vtree_masks(tree)
-    masks = _var_masks(circuit)
-    binding = {}
-    for i in sorted(_reachable(circuit)):
-        gate = circuit.gates[i]
-        path = _lowest_path(masks[i], vam)
-        if gate[0] == "and":
-            if path + "L" not in vam:
-                raise DsdnnfError("and-gate %d: children not split by any node" % i)
-            if masks[gate[1]] & masks[gate[2]]:
-                raise DsdnnfError("and-gate %d is not decomposable" % i)
-            if masks[gate[1]] & ~vam[path + "L"] or masks[gate[2]] & ~vam[path + "R"]:
-                raise DsdnnfError("and-gate %d: children not split at its node" % i)
-        elif gate[0] == "or" and check_or_sets:
-            if masks[gate[1]] != masks[gate[2]]:
-                raise DsdnnfError("or-gate %d: children variable sets differ" % i)
+    halves = {}
+    leaf = {}
+    for path, mask in vam.items():
+        if path + "L" in vam:
+            halves[path] = (vam[path + "L"], vam[path + "R"])
+        else:
+            leaf[mask.bit_length()] = path
+    bottom = ""
+    while bottom in halves:
+        bottom += "L"
+    gates, masks = circuit.gates, a.masks
+    binding = [None] * len(gates)
+    and_error = or_error = None
+    for i in a.order:
+        gate = gates[i]
+        kind = gate[0]
+        if kind == "lit":
+            binding[i] = leaf[abs(gate[1])]
+            continue
+        if kind != "and" and kind != "or":
+            binding[i] = bottom
+            continue
+        m1, m2 = masks[gate[1]], masks[gate[2]]
+        if not m1:
+            path = binding[gate[2]]
+        elif not m2:
+            path = binding[gate[1]]
+        else:
+            path = _common_prefix(binding[gate[1]], binding[gate[2]])
         binding[i] = path
-    return binding, masks
+        if kind == "and":
+            if and_error is None:
+                split = halves.get(path)
+                if split is None:
+                    and_error = (i, "and-gate %d: children not split by any "
+                                 "node" % i)
+                elif m1 & m2:
+                    and_error = (i, "and-gate %d is not decomposable" % i)
+                elif m1 & ~split[0] or m2 & ~split[1]:
+                    and_error = (i, "and-gate %d: children not split at its "
+                                 "node" % i)
+        elif or_error is None and m1 != m2:
+            or_error = (i, "or-gate %d: children variable sets differ" % i)
+    return tree, binding, and_error, or_error
+
+
+def _checked(circuit, tree, check_or_sets):
+    """The circuit's analysis and its binding on the vtree, computed at most
+    once per circuit state and vtree object.
+
+    Raises for the first offending gate in table order: an and-gate not
+    split at its node and, with check_or_sets, an or-gate whose children
+    mention different variable sets.
+    """
+    a = _analysis(circuit)
+    entry = a.trees.get(id(tree))
+    if entry is None:
+        check_vtree_leaves(circuit, tree)  # before any mask is built
+        entry = a.trees[id(tree)] = _bind(circuit, _masked(circuit), tree)
+    _, binding, and_error, or_error = entry
+    if or_error is not None and check_or_sets \
+            and (and_error is None or or_error[0] < and_error[0]):
+        raise DsdnnfError(or_error[1])
+    if and_error is not None:
+        raise DsdnnfError(and_error[1])
+    return a, binding
 
 
 def validate_structured(circuit, tree):
@@ -198,23 +294,21 @@ def validate_structured(circuit, tree):
     vtree node covering its variables.  Raises naming the first
     offending gate in table order.
     """
-    binding, _ = _bindings(circuit, tree, check_or_sets=True)
-    return binding
+    a, binding = _checked(circuit, tree, check_or_sets=True)
+    return {i: binding[i] for i in a.order}
 
 
-def _sat_bits(circuit, masks, needed):
-    """Per-gate satisfiability under decomposability.
-
-    Decomposability is enforced only for gates in `needed`; dead gates
-    left behind by constant folding are computed but not judged.
-    """
-    sat = [False] * len(circuit.gates)
-    for i, gate in enumerate(circuit.gates):
-        if gate[0] in ("lit", "true"):
+def _sat_bits(circuit):
+    """Per-gate satisfiability of the reachable gates, which must all be
+    decomposable."""
+    a = _decomposable(circuit)
+    gates = circuit.gates
+    sat = [False] * len(gates)
+    for i in a.order:
+        gate = gates[i]
+        if gate[0] == "lit" or gate[0] == "true":
             sat[i] = True
         elif gate[0] == "and":
-            if i in needed and masks[gate[1]] & masks[gate[2]]:
-                raise DsdnnfError("and-gate %d is not decomposable" % i)
             sat[i] = sat[gate[1]] and sat[gate[2]]
         elif gate[0] == "or":
             sat[i] = sat[gate[1]] or sat[gate[2]]
@@ -228,8 +322,8 @@ def validate_deterministic(circuit, tree, cap=10 ** 7):
     satisfiability by a product recursion over gate pairs; the shared
     pair memo is capped at `cap` entries.
     """
-    binding, masks = _bindings(circuit, tree, check_or_sets=False)
-    sat = _sat_bits(circuit, masks, _reachable(circuit))
+    a, binding = _checked(circuit, tree, check_or_sets=False)
+    sat = _sat_bits(circuit)
     gates = circuit.gates
     memo = {}
 
@@ -273,7 +367,7 @@ def validate_deterministic(circuit, tree, cap=10 ** 7):
         memo[key] = result
         return result
 
-    for i in sorted(_reachable(circuit)):
+    for i in a.order:
         gate = gates[i]
         if gate[0] == "or" and pair_sat(gate[1], gate[2]):
             return False
@@ -287,8 +381,8 @@ def dsdnnf_conjoin(d1, d2, tree):
     gates.  Both inputs must respect `tree`; determinism of the inputs
     is assumed and is preserved.
     """
-    bind1, masks1 = _bindings(d1, tree, check_or_sets=True)
-    bind2, masks2 = _bindings(d2, tree, check_or_sets=True)
+    _, bind1 = _checked(d1, tree, check_or_sets=True)
+    _, bind2 = _checked(d2, tree, check_or_sets=True)
     out = Circuit(tree)
     gates1, gates2 = d1.gates, d2.gates
     copy1, copy2 = {}, {}
@@ -357,8 +451,12 @@ def dsdnnf_conjoin(d1, d2, tree):
 
 
 def _common_prefix(a, b):
+    if b.startswith(a):
+        return a
+    if a.startswith(b):
+        return b
     n = 0
-    while n < len(a) and n < len(b) and a[n] == b[n]:
+    while a[n] == b[n]:
         n += 1
     return a[:n]
 
@@ -405,20 +503,18 @@ def dsdnnf_count(d, over):
     Bottom-up with per-gate variable sets: and-gates multiply, or-gates
     add children counts scaled by the variables missing from each child
     relative to the union.  Requires determinism; decomposability is
-    checked on the way up.
+    checked first.
     """
-    masks = _var_masks(d)
+    a = _decomposable(d)
+    masks = a.masks
     counts = [0] * len(d.gates)
-    needed = _reachable(d)
-    for i in sorted(needed):
+    for i in a.order:
         gate = d.gates[i]
         if gate[0] in ("lit", "true"):
             counts[i] = 1
         elif gate[0] == "false":
             counts[i] = 0
         elif gate[0] == "and":
-            if masks[gate[1]] & masks[gate[2]]:
-                raise DsdnnfError("and-gate %d is not decomposable" % i)
             counts[i] = counts[gate[1]] * counts[gate[2]]
         else:
             union = masks[gate[1]] | masks[gate[2]]
@@ -453,8 +549,7 @@ def dsdnnf_count_own_vars(d):
 
 
 def dsdnnf_is_unsat(d):
-    masks = _var_masks(d)
-    return not _sat_bits(d, masks, _reachable(d))[d.root]
+    return not _sat_bits(d)[d.root]
 
 
 def dsdnnf_clausal_entails(d, clause):
@@ -665,6 +760,8 @@ def circuit_from_lines(lines):
         if parts[0] == "root":
             if len(parts) != 2 or parts[1] not in ids:
                 raise DsdnnfError("bad root line %r" % line)
+            if root is not None:
+                raise DsdnnfError("second root line %r" % line)
             root = ids[parts[1]]
             continue
         if parts[0] != "g" or len(parts) < 3:

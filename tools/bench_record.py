@@ -10,9 +10,11 @@ happens in its tree's own checkout and process.  Its last output line
 (the JSON result) is stored with the proof SHA-256 and repetition count of
 the line before it.  Runs already in the file are kept, so a long series
 can be recorded in several calls.  The summary gives, per workload, tree
-and end-to-end metric, the median and quartiles over the recorded runs;
-with exactly two trees it also counts the seeds on which the second tree
-did better, in the direction ``BENCHMARK.json`` declares.
+and end-to-end metric, the median and quartiles over every recorded run;
+with exactly two trees it also counts the pairs in which the second tree
+did better, in the direction ``BENCHMARK.json`` declares.  The k-th run of
+a seed on one tree pairs with the k-th run of that seed on the other, so a
+seed recorded twice gives two pairs.
 """
 
 import argparse
@@ -60,21 +62,25 @@ def summarize(runs, labels, better):
             entry = {}
             values = {}
             for label in labels:
-                values[label] = {r["seed"]: r["result"]["metrics"][metric]
-                                 ["value"] for r in mine
-                                 if r["tree"] == label
-                                 and metric in r["result"]["metrics"]}
-                if values[label]:
-                    q1, median, q3 = quartiles(sorted(values[label].values()))
+                # per seed, this tree's values in the order they were run
+                values[label] = {}
+                for r in mine:
+                    if r["tree"] == label and metric in r["result"]["metrics"]:
+                        values[label].setdefault(r["seed"], []).append(
+                            r["result"]["metrics"][metric]["value"])
+                every = sorted(v for seed_values in values[label].values()
+                               for v in seed_values)
+                if every:
+                    q1, median, q3 = quartiles(every)
                     entry[label] = {"median": median, "q1": q1, "q3": q3,
-                                    "runs": len(values[label])}
+                                    "runs": len(every)}
             if len(labels) == 2:
                 first, second = (values[label] for label in labels)
-                seeds = sorted(set(first) & set(second))
-                entry["pairs"] = len(seeds)
+                pairs = [pair for seed in sorted(set(first) & set(second))
+                         for pair in zip(first[seed], second[seed])]
+                entry["pairs"] = len(pairs)
                 entry["second_better"] = sum(
-                    (second[s] < first[s]) if lower else (second[s] > first[s])
-                    for s in seeds)
+                    (b < a) if lower else (b > a) for a, b in pairs)
             if entry:
                 table[metric] = entry
     return summary
