@@ -24,9 +24,9 @@ from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
                          seq_formula, tseitin, vc_formula)
-from kcproof.proofs import (BACKENDS, RULES, ProofError, check_proof,
-                            check_resolution, fold_trace, parse_proof,
-                            parse_resolution, proof_to_text,
+from kcproof.proofs import (BACKENDS, LINE_FIELDS, RULES, ProofError,
+                            check_proof, check_resolution, fold_trace,
+                            parse_proof, parse_resolution, proof_to_text,
                             resolution_to_text)
 from kcproof.refute import (RefuteError, compilation_to_refutation,
                             extract_representation, fold_backend,
@@ -539,11 +539,9 @@ def _cmd_stats(args):
         sizes = {"proof_lines": len(proof.lines),
                  "structures": len(proof.structures),
                  "diagrams": len(proof.diagrams)}
-        for rule in RULES:
+        for rule in LINE_FIELDS:
             sizes["%s_lines" % rule] = sum(
                 1 for line in proof.lines if line.rule == rule)
-        sizes["init_lines"] = sum(
-            1 for line in proof.lines if line.rule == "init")
         sizes["max_diagram_statements"] = max(
             (payload.count(";") + 1
              for _, payload in proof.diagrams.values()), default=0)

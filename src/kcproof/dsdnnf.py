@@ -595,15 +595,16 @@ def dsdnnf_join_check(d1, d2, d3):
     return dsdnnf_equiv(joint, d3)
 
 
-def _true_gadget(out, vam, cache, path):
-    """Circuit for constant true mentioning exactly the variables under path."""
+def _true_gadget(out, store, cache, path):
+    """Circuit for constant true mentioning exactly the variables under
+    path in the store's vtree."""
     if path in cache:
         return cache[path]
-    if path + "L" in vam:
-        r = out.mk_and(_true_gadget(out, vam, cache, path + "L"),
-                       _true_gadget(out, vam, cache, path + "R"))
+    if path in store.children:
+        r = out.mk_and(*[_true_gadget(out, store, cache, child)
+                         for child in store.children[path]])
     else:
-        v = vam[path].bit_length()
+        v = store.paths[path].var
         r = out.mk_or(out.mk_lit(v), out.mk_lit(-v))
     cache[path] = r
     return r
@@ -621,7 +622,6 @@ def sdd_to_dsdnnf(d):
     """
     store = d.store
     out = Circuit(store.vtree)
-    vam = _vtree_masks(store.vtree)
     gadgets = {}
     memo = {}
 
@@ -646,7 +646,7 @@ def sdd_to_dsdnnf(d):
         if descriptor[0] == "lit":
             r = out.mk_lit(descriptor[2])
         elif descriptor[0] == "true":
-            r = _true_gadget(out, vam, gadgets, descriptor[1])
+            r = _true_gadget(out, store, gadgets, descriptor[1])
         elif descriptor[0] == "false":
             r = out.mk_false()
         else:

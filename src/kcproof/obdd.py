@@ -184,19 +184,9 @@ class ObddStore:
         return rec(u)
 
     def support(self, u):
-        seen = set()
-        variables = set()
-        stack = [u]
-        while stack:
-            t = stack.pop()
-            if self.is_terminal(t) or t in seen:
-                continue
-            seen.add(t)
-            var, lo, hi = self.nodes[t]
-            variables.add(var)
-            stack.append(lo)
-            stack.append(hi)
-        return variables
+        nodes = self.nodes
+        return {nodes[t][0] for t in self.reachable(u)
+                if nodes[t] is not None}
 
     def reachable(self, u):
         nodes = self.nodes

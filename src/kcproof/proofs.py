@@ -13,7 +13,7 @@ The same file format hosts three diagram kinds (obdd, sdd, dsdnnf); the
 header fixes which one, and every structure statement must match it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from kcproof.cnf import CapExceeded, CnfError, restriction_map
@@ -170,15 +170,10 @@ class Proof:
         self._diagram_ids = {}
 
     def add_structure(self, value):
-        if isinstance(value, Vtree):
-            if self.system.format == "obdd":
-                raise ProofError("obdd proofs use variable orders")
-        elif isinstance(value, tuple):
-            if self.system.format != "obdd":
-                raise ProofError(
-                    "%s proofs use vtrees" % self.system.format)
-        else:
-            raise ProofError("structure must be an order or a vtree")
+        backend = BACKENDS[self.system.format]
+        if not isinstance(value, backend.structure_type):
+            raise ProofError("%s proofs use %ss"
+                             % (self.system.format, backend.structure_kind))
         if value in self._structure_ids:
             return self._structure_ids[value]
         sid = len(self.structures) + 1
@@ -234,6 +229,15 @@ class _Backend:
     line use it.  A store holds the diagrams over one structure: an order
     or a vtree.  The defaults serve the vtree formats."""
 
+    structure_kind = "vtree"   # the kind named by the format's s statements
+    structure_type = Vtree
+
+    def structure_text(self, tree):
+        return vtree_to_text(tree)
+
+    def parse_structure(self, text):
+        return parse_vtree(text)
+
     def leaves(self, structure):
         return structure.variables
 
@@ -265,6 +269,14 @@ class _Backend:
 class _ObddBackend(_Backend):
     name = "obdd"
     diagram_type = ObddRef
+    structure_kind = "order"
+    structure_type = tuple
+
+    def structure_text(self, order):
+        return order_to_text(order)
+
+    def parse_structure(self, text):
+        return parse_order(text)
 
     def store(self, order):
         return ObddStore(order)
@@ -395,6 +407,8 @@ class _DsdnnfBackend(_Backend):
 
     def parse(self, tree, pieces, cap):
         d = circuit_from_lines(pieces)
+        if d.vtree is not None:
+            raise DsdnnfError("payload carries a vtree of its own")
         d.vtree = tree
         validate_structured(d, tree)
         if not validate_deterministic(d, tree, cap=cap):
@@ -502,41 +516,53 @@ def diagram_payload(obj):
 
 # -------------------------------------------------------------- serialization
 
+# The fields of each rule's L line, in file order after "L n rule", named
+# by the ProofLine attribute they fill.  Each "refs" field holds one line
+# reference.  "cert_ids" is the optional tail of a reorder line: "cert"
+# and one or more diagram ids.  _INT_FIELDS names the integer fields in
+# the parser's messages.
+LINE_FIELDS = {
+    "init": ("clause_index", "diagram_id"),
+    "join": ("refs", "refs", "diagram_id"),
+    "weaken": ("refs", "diagram_id"),
+    "move": ("refs", "var", "w_path", "direction", "structure_id",
+             "diagram_id"),
+    "reorder": ("refs", "structure_id", "diagram_id", "cert_ids"),
+}
+_INT_FIELDS = {"clause_index": "clause index", "refs": "line reference",
+               "var": "variable", "structure_id": "structure id",
+               "diagram_id": "diagram id"}
+
+
+def _line_text(line):
+    if line.rule not in LINE_FIELDS:
+        raise ProofError("unknown rule %r" % (line.rule,))
+    tokens = ["L", str(line.n), line.rule]
+    refs = iter(line.refs)
+    for name in LINE_FIELDS[line.rule]:
+        if name == "refs":
+            tokens.append(str(next(refs)))
+        elif name == "w_path":
+            tokens.append(path_to_text(line.w_path))
+        elif name == "cert_ids":
+            if line.cert_ids:
+                tokens += ["cert"] + [str(c) for c in line.cert_ids]
+        else:
+            tokens.append(str(getattr(line, name)))
+    return " ".join(tokens)
+
+
 def proof_to_lines(proof):
     rules = ",".join(r for r in RULES if r in proof.system.rules) or "-"
     out = ["p kcp %s %s" % (proof.system.format, rules)]
-    for sid in sorted(proof.structures):
-        value = proof.structures[sid]
-        if isinstance(value, Vtree):
-            out.append("s %d vtree %s" % (sid, vtree_to_text(value)))
-        else:
-            out.append("s %d order %s" % (sid, order_to_text(value)))
+    backend = BACKENDS[proof.system.format]
+    for sid, value in sorted(proof.structures.items()):
+        out.append("s %d %s %s" % (sid, backend.structure_kind,
+                                   backend.structure_text(value)))
     for did in sorted(proof.diagrams):
         sid, payload = proof.diagrams[did]
         out.append("d %d %d %s" % (did, sid, payload))
-    for line in proof.lines:
-        if line.rule == "init":
-            out.append("L %d init %d %d"
-                       % (line.n, line.clause_index, line.diagram_id))
-        elif line.rule == "join":
-            out.append("L %d join %d %d %d"
-                       % (line.n, line.refs[0], line.refs[1], line.diagram_id))
-        elif line.rule == "weaken":
-            out.append("L %d weaken %d %d"
-                       % (line.n, line.refs[0], line.diagram_id))
-        elif line.rule == "move":
-            out.append("L %d move %d %d %s %s %d %d"
-                       % (line.n, line.refs[0], line.var,
-                          path_to_text(line.w_path), line.direction,
-                          line.structure_id, line.diagram_id))
-        elif line.rule == "reorder":
-            text = "L %d reorder %d %d %d" % (
-                line.n, line.refs[0], line.structure_id, line.diagram_id)
-            if line.cert_ids:
-                text += " cert " + " ".join(str(c) for c in line.cert_ids)
-            out.append(text)
-        else:
-            raise ProofError("unknown rule %r" % (line.rule,))
+    out += [_line_text(line) for line in proof.lines]
     return out
 
 
@@ -549,6 +575,37 @@ def _int(token, what):
         return int(token)
     except ValueError:
         raise ProofError("bad %s %r" % (what, token))
+
+
+def _parse_line(n, parts, text):
+    """The ProofLine of statement text, split into parts, numbered n.
+    Fields are read in file order, so the first defect is reported."""
+    rule = parts[2] if len(parts) > 2 else ""
+    fields = LINE_FIELDS.get(rule, ())
+    tokens, tail = parts[3:], ()
+    if fields[-1:] == ("cert_ids",):
+        fields = fields[:-1]
+        tokens, tail = tokens[:len(fields)], tokens[len(fields):]
+        if tail and (tail[0] != "cert" or len(tail) == 1):
+            raise ProofError("malformed %s statement %r" % (rule, text))
+    if not fields or len(tokens) != len(fields):
+        raise ProofError("malformed proof line %r" % text)
+    values = {"refs": ()}
+    for name, token in zip(fields, tokens):
+        if name == "w_path":
+            try:
+                value = parse_path(token)
+            except StructureError as exc:
+                raise ProofError("bad move path: %s" % exc)
+        elif name == "direction":
+            if token not in ("l", "r"):
+                raise ProofError("bad move direction %r" % token)
+            value = token
+        else:
+            value = _int(token, _INT_FIELDS[name])
+        values[name] = values["refs"] + (value,) if name == "refs" else value
+    certs = tuple(_int(token, "diagram id") for token in tail[1:])
+    return ProofLine(n=n, rule=rule, cert_ids=certs, **values)
 
 
 def proof_from_lines(lines):
@@ -565,6 +622,7 @@ def proof_from_lines(lines):
                 raise ProofError("missing or malformed proof header")
             rules = () if parts[3] == "-" else tuple(parts[3].split(","))
             system = ProofSystem(parts[2], frozenset(rules))
+            backend = BACKENDS[system.format]
             proof = Proof(system)
             continue
         if parts[0] == "s":
@@ -573,17 +631,12 @@ def proof_from_lines(lines):
             sid = _int(parts[1], "structure id")
             if sid in proof.structures:
                 raise ProofError("structure id %d reused" % sid)
-            payload = " ".join(parts[3:])
+            if parts[2] != backend.structure_kind:
+                raise ProofError("%s structure in %s %s proof" % (
+                    parts[2], "an" if system.format[0] in "aeiou" else "a",
+                    system.format))
             try:
-                if parts[2] == "order":
-                    if system.format != "obdd":
-                        raise ProofError(
-                            "order structure in a %s proof" % system.format)
-                    value = parse_order(payload)
-                else:
-                    if system.format == "obdd":
-                        raise ProofError("vtree structure in an obdd proof")
-                    value = parse_vtree(payload)
+                value = backend.parse_structure(" ".join(parts[3:]))
             except StructureError as exc:
                 raise ProofError("bad structure payload: %s" % exc)
             proof.structures[sid] = value
@@ -607,53 +660,7 @@ def proof_from_lines(lines):
                     "line number %d out of sequence (expected %d)"
                     % (n, expected_n))
             expected_n += 1
-            rule = parts[2] if len(parts) > 2 else ""
-            if rule == "init" and len(parts) == 5:
-                proof.lines.append(ProofLine(
-                    n=n, rule="init",
-                    clause_index=_int(parts[3], "clause index"),
-                    diagram_id=_int(parts[4], "diagram id")))
-            elif rule == "join" and len(parts) == 6:
-                proof.lines.append(ProofLine(
-                    n=n, rule="join",
-                    refs=(_int(parts[3], "line reference"),
-                          _int(parts[4], "line reference")),
-                    diagram_id=_int(parts[5], "diagram id")))
-            elif rule == "weaken" and len(parts) == 5:
-                proof.lines.append(ProofLine(
-                    n=n, rule="weaken",
-                    refs=(_int(parts[3], "line reference"),),
-                    diagram_id=_int(parts[4], "diagram id")))
-            elif rule == "move" and len(parts) == 9:
-                if parts[6] not in ("l", "r"):
-                    raise ProofError("bad move direction %r" % parts[6])
-                try:
-                    w_path = parse_path(parts[5])
-                except StructureError as exc:
-                    raise ProofError("bad move path: %s" % exc)
-                proof.lines.append(ProofLine(
-                    n=n, rule="move",
-                    refs=(_int(parts[3], "line reference"),),
-                    var=_int(parts[4], "variable"),
-                    w_path=w_path,
-                    direction=parts[6],
-                    structure_id=_int(parts[7], "structure id"),
-                    diagram_id=_int(parts[8], "diagram id")))
-            elif rule == "reorder" and len(parts) >= 6:
-                certs = ()
-                if len(parts) > 6:
-                    if parts[6] != "cert" or len(parts) == 7:
-                        raise ProofError(
-                            "malformed reorder statement %r" % text)
-                    certs = tuple(_int(t, "diagram id") for t in parts[7:])
-                proof.lines.append(ProofLine(
-                    n=n, rule="reorder",
-                    refs=(_int(parts[3], "line reference"),),
-                    structure_id=_int(parts[4], "structure id"),
-                    diagram_id=_int(parts[5], "diagram id"),
-                    cert_ids=certs))
-            else:
-                raise ProofError("malformed proof line %r" % text)
+            proof.lines.append(_parse_line(n, parts, text))
         else:
             raise ProofError("unknown statement %r" % text)
     if proof is None:
@@ -749,7 +756,6 @@ def _check_line(session, phi, line, track):
     """One rule application; returns None when sound, else the reason."""
     proof = session.proof
     rules = proof.system.rules
-    n = line.n
     if line.rule != "init" and line.rule not in rules:
         return "rule %s not allowed by the proof header" % line.rule
     backend = session.backend
@@ -763,12 +769,10 @@ def _check_line(session, phi, line, track):
             return "init clause index out of range"
         if not backend.equal(d, backend.clause(store, phi.clauses[j])):
             return "init diagram does not match clause %d" % j
-        if track is not None:
-            track[n] = frozenset((j,))
         return None
 
     for ref in line.refs:
-        if not 1 <= ref < n:
+        if not 1 <= ref < line.n:
             return "%s reference out of range" % line.rule
 
     if line.rule == "join":
@@ -779,8 +783,6 @@ def _check_line(session, phi, line, track):
             return "join structure mismatch"
         if not backend.join_ok(da, db, d):
             return "join mismatch"
-        if track is not None:
-            track[n] = track[i] | track[k]
         return None
 
     if line.rule == "weaken":
@@ -817,7 +819,6 @@ def _check_line(session, phi, line, track):
         for j in sorted(track[i]):
             if not backend.entails_clause(store, d, phi.clauses[j]):
                 return "reorder result does not entail clause %d" % j
-        track[n] = track[i]
         return None
 
     if line.rule == "move":
@@ -837,8 +838,6 @@ def _check_line(session, phi, line, track):
             return "move structure mismatch"
         if not backend.move_ok(old_d, d, line.var):
             return "move count equations fail"
-        if track is not None:
-            track[n] = track[i]
         return None
 
     return "unknown rule %r" % line.rule
@@ -878,6 +877,8 @@ def check_proof(phi, proof, cap=10 ** 7):
                            % (type(exc).__name__, exc), stats)
         if reason is not None:
             return Verdict(False, line.n, reason, stats)
+        if track is not None:
+            track[line.n] = _clause_set(track, line)
         size = session.sizes[line.diagram_id]
         stats["max_diagram_size"] = max(stats["max_diagram_size"], size)
         stats["total_nodes"] += size
@@ -888,6 +889,14 @@ def check_proof(phi, proof, cap=10 ** 7):
     return Verdict(True, None, None, stats)
 
 
+def _clause_set(sets, line):
+    """The input clauses whose conjunction a line of a weakening-free proof
+    derives, from the sets of the lines it references."""
+    if line.rule == "init":
+        return frozenset((line.clause_index,))
+    return frozenset().union(*(sets[ref] for ref in line.refs))
+
+
 def track_clause_sets(phi, proof):
     """Which input clauses each line's diagram is the exact conjunction of.
 
@@ -896,28 +905,18 @@ def track_clause_sets(phi, proof):
     """
     sets = {}
     for line in proof.lines:
-        if line.rule == "init":
-            if not 0 <= line.clause_index < len(phi.clauses):
-                raise ProofError(
-                    "line %d: clause index out of range" % line.n)
-            sets[line.n] = frozenset((line.clause_index,))
-        elif line.rule == "join":
-            for ref in line.refs:
-                if not 1 <= ref < line.n:
-                    raise ProofError(
-                        "line %d: reference out of range" % line.n)
-            sets[line.n] = sets[line.refs[0]] | sets[line.refs[1]]
-        elif line.rule in ("reorder", "move"):
-            ref = line.refs[0]
-            if not 1 <= ref < line.n:
-                raise ProofError("line %d: reference out of range" % line.n)
-            sets[line.n] = sets[ref]
-        elif line.rule == "weaken":
+        if line.rule == "weaken":
             raise ProofError(
                 "line %d: clause sets are not tracked past weakening"
                 % line.n)
-        else:
+        if line.rule not in LINE_FIELDS:
             raise ProofError("line %d: unknown rule %r" % (line.n, line.rule))
+        if line.rule == "init" \
+                and not 0 <= line.clause_index < len(phi.clauses):
+            raise ProofError("line %d: clause index out of range" % line.n)
+        if not all(1 <= ref < line.n for ref in line.refs):
+            raise ProofError("line %d: reference out of range" % line.n)
+        sets[line.n] = _clause_set(sets, line)
     return sets
 
 
@@ -1114,21 +1113,15 @@ def restrict_proof(phi, proof, assignment):
                 mapped[line.n] = a if b is None else b
                 continue
             mapped[line.n] = out.add_join(a, b, out_diagram(line))
-        elif line.rule == "move":
+        elif line.rule in ("move", "reorder"):
             ref = mapped[line.refs[0]]
             if ref is None:
                 mapped[line.n] = None
                 continue
-            mapped[line.n] = out.add_move(
-                ref, line.var, line.w_path, line.direction,
-                out_sid(line.structure_id), out_diagram(line))
-        elif line.rule == "reorder":
-            ref = mapped[line.refs[0]]
-            if ref is None:
-                mapped[line.n] = None
-                continue
-            mapped[line.n] = out.add_reorder(
-                ref, out_sid(line.structure_id), out_diagram(line))
+            sid = out_sid(line.structure_id)  # numbered before the diagram's
+            mapped[line.n] = out._append(replace(
+                line, n=len(out.lines) + 1, refs=(ref,), structure_id=sid,
+                diagram_id=out_diagram(line), cert_ids=()))
         else:
             raise ProofError("line %d: unexpected rule %r"
                              % (line.n, line.rule))

@@ -16,7 +16,7 @@ command line's business.
 
 from .cnf import (CapExceeded, TreeDecomposition, primal_graph,
                   tree_decomposition)
-from .structure import (StructureError, Vtree, right_linear_vtree,
+from .structure import (StructureError, right_linear_vtree,
                         vtree_from_decomposition, vtree_node)
 from .obdd import ObddError, ObddStore
 from .sdd import SddError, SddStore
@@ -65,16 +65,15 @@ def naive_conjoin_refute(phi, structure, fmt=None):
     business.  A variable order means obdd format; a vtree defaults to
     sdd, pass fmt="dsdnnf" for circuits.
     """
-    if isinstance(structure, tuple):
-        fmt = fmt or "obdd"
-        if fmt != "obdd":
-            raise RefuteError("a variable order fixes the format to obdd")
-    elif isinstance(structure, Vtree):
-        fmt = fmt or "sdd"
-        if fmt not in ("sdd", "dsdnnf"):
-            raise RefuteError("a vtree means the sdd or dsdnnf format")
-    else:
-        raise RefuteError("structure must be a variable order or a vtree")
+    if fmt is None:
+        # the first format whose structure it is: obdd or sdd
+        fmt = next((b.name for b in BACKENDS.values()
+                    if isinstance(structure, b.structure_type)), "obdd")
+    target = BACKENDS.get(fmt)
+    if target is None:
+        raise RefuteError("unknown diagram format %r" % (fmt,))
+    if not isinstance(structure, target.structure_type):
+        raise RefuteError("%s proofs use %ss" % (fmt, target.structure_kind))
     backend, export = fold_backend(fmt)
     mentioned = {abs(lit) for clause in phi.clauses for lit in clause}
     if not mentioned <= backend.leaves(structure):

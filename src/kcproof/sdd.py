@@ -289,39 +289,29 @@ class SddStore:
         self.counts[u] = result
         return result
 
+    def reachable(self, u):
+        """Ids of the nodes reachable from u, u and atoms included."""
+        nodes = self.nodes
+        seen = {u}
+        stack = [u]
+        while stack:
+            descriptor = nodes[stack.pop()]
+            if descriptor[0] == "dec":
+                for element in descriptor[2]:
+                    for t in element:
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+        return seen
+
     def size(self, u):
         """Distinct reachable nodes, atoms included."""
-        seen = set()
-        stack = [u]
-        while stack:
-            t = stack.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            descriptor = self.nodes[t]
-            if descriptor[0] == "dec":
-                for prime, sub in descriptor[2]:
-                    stack.append(prime)
-                    stack.append(sub)
-        return len(seen)
+        return len(self.reachable(u))
 
     def mentioned_vars(self, u):
-        seen = set()
-        variables = set()
-        stack = [u]
-        while stack:
-            t = stack.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            descriptor = self.nodes[t]
-            if descriptor[0] == "lit":
-                variables.add(abs(descriptor[2]))
-            elif descriptor[0] == "dec":
-                for prime, sub in descriptor[2]:
-                    stack.append(prime)
-                    stack.append(sub)
-        return variables
+        nodes = self.nodes
+        return {abs(nodes[t][2]) for t in self.reachable(u)
+                if nodes[t][0] == "lit"}
 
 
 class SddRef:
@@ -515,18 +505,8 @@ def drop_leaf(target, d, var):
     leaf = store.leaf_path[var]
     parent, var_left = leaf[:-1], leaf[-1] == "L"
     sibling = parent + ("R" if var_left else "L")
-    reachable = set()
-    stack = [d.node]
-    while stack:
-        t = stack.pop()
-        if t not in reachable:
-            reachable.add(t)
-            descriptor = store.nodes[t]
-            if descriptor[0] == "dec":
-                stack.extend(node for element in descriptor[2]
-                             for node in element)
     mapped = {}
-    for t in sorted(reachable):
+    for t in sorted(store.reachable(d.node)):
         descriptor = store.nodes[t]
         path = descriptor[1]
         if path == leaf:
