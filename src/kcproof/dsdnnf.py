@@ -194,19 +194,31 @@ def check_vtree_leaves(circuit, tree):
                               % (i, abs(gate[1])))
 
 
-def _vtree_masks(tree):
-    """Map vtree path -> bitmask of leaf variables under it."""
-    table = {}
+def _vtree_table(tree):
+    """What `_bind` reads of a vtree: the variable masks of the two halves
+    of each internal node, keyed by path, the path of each variable's
+    leaf, and the path of the leftmost leaf."""
+    masks = {}
 
     def walk(node, path):
         if node.var is not None:
-            table[path] = 1 << (node.var - 1)
-            return table[path]
-        table[path] = walk(node.left, path + "L") | walk(node.right, path + "R")
-        return table[path]
+            masks[path] = 1 << (node.var - 1)
+            return masks[path]
+        masks[path] = walk(node.left, path + "L") | walk(node.right, path + "R")
+        return masks[path]
 
     walk(tree, "")
-    return table
+    halves = {}
+    leaf = {}
+    for path, mask in masks.items():
+        if path + "L" in masks:
+            halves[path] = (masks[path + "L"], masks[path + "R"])
+        else:
+            leaf[mask.bit_length()] = path
+    bottom = ""
+    while bottom in halves:
+        bottom += "L"
+    return halves, leaf, bottom
 
 
 def _bind(circuit, a, tree):
@@ -218,17 +230,13 @@ def _bind(circuit, a, tree):
     cover its first and second child; an or-gate's children must mention
     equal variable sets.
     """
-    vam = _vtree_masks(tree)
-    halves = {}
-    leaf = {}
-    for path, mask in vam.items():
-        if path + "L" in vam:
-            halves[path] = (vam[path + "L"], vam[path + "R"])
-        else:
-            leaf[mask.bit_length()] = path
-    bottom = ""
-    while bottom in halves:
-        bottom += "L"
+    # one table per vtree object, kept on it as Vtree.variables keeps its
+    # set: an attribute, not a field, so == and hash do not see it
+    table = getattr(tree, "_bind_table", None)
+    if table is None:
+        table = _vtree_table(tree)
+        object.__setattr__(tree, "_bind_table", table)
+    halves, leaf, bottom = table
     gates, masks = circuit.gates, a.masks
     binding = [None] * len(gates)
     and_error = or_error = None
@@ -755,6 +763,8 @@ def circuit_from_lines(lines):
             continue
         parts = line.split()
         if parts[0] == "vtree":
+            if circuit.vtree is not None:
+                raise DsdnnfError("second vtree line %r" % line)
             circuit.vtree = parse_vtree(line[len("vtree"):].strip())
             continue
         if parts[0] == "root":

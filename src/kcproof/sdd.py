@@ -454,9 +454,26 @@ def sdd_mentioned_vars(d):
 
 
 def rebind(target, d):
-    """Rebuild a diagram in a store over another vtree, preserving the
+    """Re-express a diagram in a store over another vtree, preserving the
     function.  Every variable the diagram mentions must be a leaf of the
-    target vtree; the result is normalized at the target root."""
+    target vtree; the result is normalized at the target root.
+
+    When the two vtrees differ by one leaf move, the diagram takes one
+    Shannon step instead of a rebuild: each restriction on the moved
+    variable x is carried over the vtree without x by drop_leaf and
+    insert_leaf, and (~x & f0) | (x & f1) joins the halves in the target.
+    The restrictions add nodes to the source store.  Any other pair of
+    vtrees rebuilds every node with root-level applies.  Both ways give
+    the same node, since equal functions share one node in a store.
+    """
+    x = _moved_leaf(d.store, target)
+    if x is not None:
+        common = SddStore(remove_leaf(target.vtree, x))
+        low, high = (insert_leaf(target, drop_leaf(
+            common, sdd_restrict(d, {x: value}), x), x) for value in (0, 1))
+        return sdd_apply("or",
+                         sdd_apply("and", sdd_literal(target, -x), low),
+                         sdd_apply("and", sdd_literal(target, x), high))
     store = d.store
     memo = {}
 
@@ -479,6 +496,64 @@ def rebind(target, d):
         return result
 
     return SddRef(target, rec(d.node))
+
+
+def _moved_leaf(source, target):
+    """A variable x whose leaf, removed from both stores' vtrees, leaves
+    the same vtree, or None.  A move that changes the vtree changes the
+    path of x's leaf, so only leaves whose paths differ are tried."""
+    if source.vtree.variables != target.vtree.variables:
+        return None
+    for var, path in source.leaf_path.items():
+        if target.leaf_path[var] != path and \
+                remove_leaf(source.vtree, var) == remove_leaf(target.vtree,
+                                                              var):
+            return var
+    return None
+
+
+def insert_leaf(target, d, var):
+    """Re-express a diagram in a store over its vtree with var's leaf
+    inserted, the inverse of drop_leaf: d's vtree must be target's vtree
+    without var (structure.remove_leaf).  Linear in the diagram.
+
+    Every node keeps its elements; the nodes bound to var's sibling s
+    and below move down one step, and a node n bound to s is wrapped at
+    the new parent p of var's leaf: as ((true, n),) when var is p's left
+    child, and as ((n, true), (~n, false)) when it is the right child,
+    where mk_dec leaves one element for a constant n.  One ascending pass
+    over the reachable ids maps every child before its parents.
+    """
+    store = d.store
+    try:
+        expected = remove_leaf(target.vtree, var)
+    except StructureError as exc:
+        raise SddError(str(exc))
+    if store.vtree != expected:
+        raise SddError("source vtree is not the target vtree without x%d"
+                       % var)
+    leaf = target.leaf_path[var]
+    parent, var_left = leaf[:-1], leaf[-1] == "L"
+    sibling = parent + ("R" if var_left else "L")
+    true_x, false_x = target.true_at(leaf), target.false_at(leaf)
+    mapped = {}
+    for t in sorted(store.reachable(d.node)):
+        descriptor = store.nodes[t]
+        path = descriptor[1]
+        if path.startswith(parent):
+            path = sibling + path[len(parent):]
+        if descriptor[0] == "dec":
+            node = target.mk_dec(path, tuple(
+                (mapped[prime], mapped[sub])
+                for prime, sub in descriptor[2]))
+        else:
+            node = target.atom((descriptor[0], path) + descriptor[2:])
+        if path == sibling:
+            node = target.mk_dec(parent, ((true_x, node),) if var_left else
+                                 ((node, true_x),
+                                  (target.negate(node), false_x)))
+        mapped[t] = node
+    return SddRef(target, mapped[d.node])
 
 
 def drop_leaf(target, d, var):

@@ -14,7 +14,8 @@ and end-to-end metric, the median and quartiles over every recorded run;
 with exactly two trees it also counts the pairs in which the second tree
 did better, in the direction ``BENCHMARK.json`` declares.  The k-th run of
 a seed on one tree pairs with the k-th run of that seed on the other, so a
-seed recorded twice gives two pairs.
+seed recorded twice gives two pairs.  The script ends by printing the
+summary, one line per workload and end-to-end metric.
 """
 
 import argparse
@@ -86,6 +87,30 @@ def summarize(runs, labels, better):
     return summary
 
 
+def number(value):
+    return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
+
+
+def summary_lines(summary, labels):
+    """One line per workload and metric: each tree's median [q1, q3] and
+    run count, then the pair wins of the second tree when there are two."""
+    lines = []
+    for workload, table in sorted(summary.items()):
+        for metric, entry in sorted(table.items()):
+            trees = ["%s %s [%s, %s] x%d" % (
+                label, number(entry[label]["median"]),
+                number(entry[label]["q1"]), number(entry[label]["q3"]),
+                entry[label]["runs"]) for label in labels if label in entry]
+            if not trees:
+                continue  # no run reported this metric
+            line = "%s %s: %s" % (workload, metric, ", ".join(trees))
+            if "pairs" in entry:
+                line += "; %s better in %d of %d pairs" % (
+                    labels[1], entry["second_better"], entry["pairs"])
+            lines.append(line)
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True,
@@ -138,6 +163,8 @@ def main():
                                "summary": summarize(runs, labels, better)},
                               handle, indent=1, sort_keys=True)
                     handle.write("\n")
+    for line in summary_lines(summarize(runs, labels, better), labels):
+        print(line)
     return 1 if failed else 0
 
 
