@@ -401,23 +401,6 @@ def obdd_move_var(d, x, pos):
         obdd_apply("and", x_ref, one))
 
 
-def obdd_check_move(d, d_prime, x):
-    """Equivalence across two orders that agree once x is deleted: both
-    restrictions on x live in the common reduced order, where canonical
-    comparison decides equality.  True exactly when the functions agree."""
-    rest1 = [v for v in d.store.order if v != x]
-    rest2 = [v for v in d_prime.store.order if v != x]
-    if rest1 != rest2:
-        raise ObddError("orders differ in more than the position of %d" % x)
-    common = ObddStore(tuple(rest1))
-    for value in (0, 1):
-        a = migrate(common, obdd_restrict(d, {x: value}))
-        b = migrate(common, obdd_restrict(d_prime, {x: value}))
-        if a.node != b.node:
-            return False
-    return True
-
-
 def obdd_reorder_chain(d, new_order):
     """Diagrams along single-variable moves from d's order to new_order.
 

@@ -245,6 +245,9 @@ class _Backend:
         """The structure after a move, or None and a rejection reason."""
         return move(structure, var, w_path, direction), None
 
+    def init_ok(self, store, d, clause):
+        return self.equal(d, self.clause(store, clause))
+
     def join_ok(self, a, b, c):
         return self.equal(self.conjoin(self.store_of(c), a, b), c)
 
@@ -441,6 +444,18 @@ class _DsdnnfBackend(_Backend):
 
     def equal(self, a, b):
         return dsdnnf_equiv(a, b)
+
+    def init_ok(self, tree, d, clause):
+        """A circuit that entails the clause and has as many models is the
+        clause.  A clause with both x and not x has every model."""
+        leaves = tree.variables
+        for lit in clause:
+            if abs(lit) not in leaves:
+                raise DsdnnfError("variable %d not in vtree" % abs(lit))
+        n, k = len(leaves), len({abs(lit) for lit in clause})
+        models = 1 << n if k < len(set(clause)) else (1 << n) - (1 << (n - k))
+        return dsdnnf_count(d, leaves) == models \
+            and dsdnnf_clausal_entails(d, clause)
 
     def join_ok(self, a, b, c):
         return dsdnnf_join_check(a, b, c)
@@ -745,8 +760,11 @@ def _single_move_step(a, b):
     order_a, order_b = a.store.order, b.store.order
     if set(order_a) != set(order_b):
         return False
-    for x in order_a:
-        # move_ok decides equality for any variable the orders agree without
+    # a moved variable is one of the two at the first position where the
+    # orders differ, and move_ok decides equality for any qualifying one
+    first = next((i for i, (u, v) in enumerate(zip(order_a, order_b))
+                  if u != v), 0)
+    for x in order_a[first:first + 1] + order_b[first:first + 1]:
         if backend.without(order_a, {x}) == backend.without(order_b, {x}):
             return backend.move_ok(a, b, x)
     return False
@@ -767,7 +785,7 @@ def _check_line(session, phi, line, track):
         j = line.clause_index
         if not 0 <= j < len(phi.clauses):
             return "init clause index out of range"
-        if not backend.equal(d, backend.clause(store, phi.clauses[j])):
+        if not backend.init_ok(store, d, phi.clauses[j]):
             return "init diagram does not match clause %d" % j
         return None
 

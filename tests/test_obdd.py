@@ -8,7 +8,6 @@ from kcproof.obdd import (
     ObddStore,
     migrate,
     obdd_apply,
-    obdd_check_move,
     obdd_const,
     obdd_count,
     obdd_entails,
@@ -259,29 +258,6 @@ class TestMove:
         moved = obdd_move_var(d, var, pos)
         assert obdd_truth_mask(moved, phi.num_vars) == \
             obdd_truth_mask(d, phi.num_vars)
-
-
-class TestCheckMove:
-    def test_accepts_reordered_majority(self):
-        d = compile_formula(ObddStore((1, 2, 3)), MAJ)
-        d_prime = compile_formula(ObddStore((3, 1, 2)), MAJ)
-        assert obdd_check_move(d, d_prime, 3)
-
-    def test_rejects_different_function(self):
-        d = compile_formula(ObddStore((1, 2, 3)), MAJ)
-        other = compile_formula(ObddStore((3, 1, 2)), cnf(3, [[1, 2], [1, 3]]))
-        assert not obdd_check_move(d, other, 3)
-
-    def test_same_diagram(self):
-        store = ObddStore((1, 2))
-        d = obdd_from_clause(store, (1, 2))
-        assert obdd_check_move(d, d, 1)
-
-    def test_incompatible_orders(self):
-        d1 = obdd_literal(ObddStore((1, 2, 3)), 1)
-        d2 = obdd_literal(ObddStore((3, 2, 1)), 1)
-        with pytest.raises(ObddError):
-            obdd_check_move(d1, d2, 1)
 
 
 class TestReorderChain:
