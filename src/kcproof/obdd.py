@@ -30,7 +30,13 @@ class ObddStore:
         # id -> level of the node's variable; both sinks sit below them all
         self.levels = [len(order), len(order)]
         self.unique = {}
+        # whole-operation results, under (op, smaller id, larger id) or
+        # ("not", id); kept for the store's life
         self.cache = {}
+        # the recursion memo of the one operation running now, emptied when
+        # it returns: across operations it hits almost never, and a
+        # recomputed step only meets nodes that already exist
+        self.memo = {}
 
     def is_terminal(self, u):
         return u == self.FALSE or u == self.TRUE
@@ -62,16 +68,36 @@ class ObddStore:
 
     def apply(self, op, a, b):
         if op == "and":
-            return self._and(a, b)
-        if op == "or":
-            return self._or(a, b)
-        raise ObddError("unknown operation %r" % op)
+            worker = self._and
+        elif op == "or":
+            worker = self._or
+        else:
+            raise ObddError("unknown operation %r" % op)
+        key = (op, a, b) if a < b else (op, b, a)
+        return self._operation(key, worker, a, b)
+
+    def negate(self, u):
+        return self._operation(("not", u), self._not, u)
+
+    def _operation(self, key, worker, *args):
+        """A whole operation's result: from the cache, or from worker with
+        the memo emptied again when it returns."""
+        found = self.cache.get(key)
+        if found is not None:
+            return found
+        try:
+            result = worker(*args)
+        finally:
+            self.memo.clear()
+        self.cache[key] = result
+        return result
 
     # One worker per operation, the same but for the constant cases: sink
     # ids are written as 0 and 1, and a result node is interned without
     # mk's checks, since it branches above both children by construction.
-    # The memo key is (op, smaller id, larger id); lo is computed before
-    # hi, which fixes the order in which nodes, and so their ids, appear.
+    # The memo holds one operation's steps, under (smaller id, larger id);
+    # lo is computed before hi, which fixes the order in which nodes, and
+    # so their ids, appear.
 
     def _and(self, a, b):
         if a == 0 or b == 0:
@@ -80,8 +106,9 @@ class ObddStore:
             return b
         if b == 1 or a == b:
             return a
-        key = ("and", a, b) if a < b else ("and", b, a)
-        found = self.cache.get(key)
+        key = (a, b) if a < b else (b, a)
+        memo = self.memo
+        found = memo.get(key)
         if found is not None:
             return found
         levels = self.levels
@@ -109,7 +136,7 @@ class ObddStore:
                 self.nodes.append(node)
                 levels.append(level)
                 self.unique[node] = result
-        self.cache[key] = result
+        memo[key] = result
         return result
 
     def _or(self, a, b):
@@ -119,8 +146,9 @@ class ObddStore:
             return b
         if b == 0 or a == b:
             return a
-        key = ("or", a, b) if a < b else ("or", b, a)
-        found = self.cache.get(key)
+        key = (a, b) if a < b else (b, a)
+        memo = self.memo
+        found = memo.get(key)
         if found is not None:
             return found
         levels = self.levels
@@ -148,21 +176,21 @@ class ObddStore:
                 self.nodes.append(node)
                 levels.append(level)
                 self.unique[node] = result
-        self.cache[key] = result
+        memo[key] = result
         return result
 
-    def negate(self, u):
+    def _not(self, u):
         if u == self.FALSE:
             return self.TRUE
         if u == self.TRUE:
             return self.FALSE
-        key = ("not", u)
-        found = self.cache.get(key)
+        memo = self.memo
+        found = memo.get(u)
         if found is not None:
             return found
         var, lo, hi = self.nodes[u]
-        result = self.mk(var, self.negate(lo), self.negate(hi))
-        self.cache[key] = result
+        result = self.mk(var, self._not(lo), self._not(hi))
+        memo[u] = result
         return result
 
     def restrict(self, u, assignment):

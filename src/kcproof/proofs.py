@@ -877,7 +877,9 @@ def check_proof(phi, proof, cap=10 ** 7):
     if not proof.lines:
         return Verdict(False, None, "empty proof", stats)
     session = _Session(proof, cap)
-    track = {} if "weaken" not in proof.system.rules else None
+    # clause sets are read only by reorder lines of weakening-free proofs
+    rules = proof.system.rules
+    track = {} if "reorder" in rules and "weaken" not in rules else None
     for line in proof.lines:
         try:
             reason = _check_line(session, phi, line, track)
