@@ -631,6 +631,19 @@ def proof_from_lines(lines):
         text = raw.strip()
         if not text or text == "c" or text.startswith("c "):
             continue
+        # a d line is split only into its four leading fields: its payload
+        # is parsed when the line is checked
+        pieces = text.split(None, 3)
+        if system is not None and pieces[0] == "d":
+            if len(pieces) != 4:
+                raise ProofError("malformed diagram statement %r" % text)
+            did = _int(pieces[1], "diagram id")
+            sid = _int(pieces[2], "structure id")
+            if did in proof.diagrams:
+                raise ProofError("diagram id %d reused" % did)
+            proof.diagrams[did] = (sid, pieces[3])
+            proof._diagram_ids[(sid, pieces[3])] = did
+            continue
         parts = text.split()
         if system is None:
             if parts[:2] != ["p", "kcp"] or len(parts) != 4:
@@ -656,16 +669,6 @@ def proof_from_lines(lines):
                 raise ProofError("bad structure payload: %s" % exc)
             proof.structures[sid] = value
             proof._structure_ids[value] = sid
-        elif parts[0] == "d":
-            pieces = text.split(None, 3)
-            if len(pieces) != 4:
-                raise ProofError("malformed diagram statement %r" % text)
-            did = _int(pieces[1], "diagram id")
-            sid = _int(pieces[2], "structure id")
-            if did in proof.diagrams:
-                raise ProofError("diagram id %d reused" % did)
-            proof.diagrams[did] = (sid, pieces[3])
-            proof._diagram_ids[(sid, pieces[3])] = did
         elif parts[0] == "L":
             if len(parts) < 2:
                 raise ProofError("malformed proof line %r" % text)

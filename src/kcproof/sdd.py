@@ -22,6 +22,16 @@ validating its partition again, since the store holds only nodes that are
 valid by construction; it matches the statement's sorted elements exactly,
 so an uncompressed statement is still validated.
 
+Proof labels are store ids, so the order in which a store creates nodes
+is part of the proof bytes, and a shortcut may skip only a step that
+could not have created a node.  apply's product loop takes an equal
+pair of primes or subs as its own result, which apply returns at once.
+_compress sorts elements whose subs are all distinct, and only repeated
+subs go through the merge, whose disjunctions keep their order.
+restrict returns a node bound to a vtree node with no assigned
+variable, which every node below it shares; a rebuild through mk_dec
+would only find the same node again.
+
 Node descriptors:
   ("lit", path, lit)        literal atom at a leaf
   ("true", path)            canonical constant-true at a leaf
@@ -136,16 +146,36 @@ class SddStore:
 
     def _compress(self, path, elements):
         """Merge elements sharing a sub, in element order, and intern the
-        node; the elements are normalized and have satisfiable primes."""
-        merged = {}
-        for prime, sub in elements:
-            other = merged.get(sub)
-            merged[sub] = prime if other is None \
-                else self._apply("or", other, prime)
-        if not merged:
-            raise SddError("decision node with no satisfiable prime")
-        compressed = tuple(sorted((prime, sub) for sub, prime in merged.items()))
-        return self._intern(("dec", path, compressed), path)
+        node; the elements are normalized and have satisfiable primes.
+
+        Only a repeated sub needs the merge: elements with distinct subs
+        are just sorted, and two elements sharing a sub take one or."""
+        n = len(elements)
+        if n == 1:
+            compressed = tuple(elements)
+        elif n == 2:
+            (prime_1, sub_1), (prime_2, sub_2) = elements
+            if sub_1 == sub_2:
+                compressed = ((self._apply("or", prime_1, prime_2), sub_1),)
+            else:
+                compressed = tuple(sorted(elements))
+        elif n and len({sub for _, sub in elements}) == n:
+            compressed = tuple(sorted(elements))
+        else:
+            merged = {}
+            for prime, sub in elements:
+                other = merged.get(sub)
+                merged[sub] = prime if other is None \
+                    else self._apply("or", other, prime)
+            if not merged:
+                raise SddError("decision node with no satisfiable prime")
+            compressed = tuple(sorted((prime, sub)
+                                      for sub, prime in merged.items()))
+        descriptor = ("dec", path, compressed)
+        found = self.unique.get(descriptor)
+        if found is None:
+            found = self._intern(descriptor, path)
+        return found
 
     # ------------------------------------------------------------ operations
 
@@ -198,9 +228,12 @@ class SddStore:
             elements = []
             for prime_a, sub_a in self.nodes[a][2]:
                 for prime_b, sub_b in elements_b:
-                    prime = apply("and", prime_a, prime_b)
+                    # apply returns an equal pair's node before any work
+                    prime = prime_a if prime_a == prime_b \
+                        else apply("and", prime_a, prime_b)
                     if prime != false_left:
-                        elements.append((prime, apply(op, sub_a, sub_b)))
+                        elements.append((prime, sub_a if sub_a == sub_b
+                                         else apply(op, sub_a, sub_b)))
             result = self._compress(path, elements)
         self.cache[key] = result
         return result
@@ -245,19 +278,22 @@ class SddStore:
 
     def restrict(self, u, assignment):
         memo = {}
+        vars_at = self.vars_at
+        assigned = frozenset(assignment)
 
         def rec(t):
             if t in memo:
                 return memo[t]
             descriptor = self.nodes[t]
-            if descriptor[0] == "lit":
-                var = abs(descriptor[2])
-                if var in assignment:
-                    satisfied = assignment[var] == (1 if descriptor[2] > 0 else 0)
-                    result = self.atom(("true" if satisfied else "false",
-                                        descriptor[1]))
-                else:
-                    result = t
+            if vars_at[descriptor[1]].isdisjoint(assigned):
+                # every node below is its own restriction, so mk_dec would
+                # only find t again
+                result = t
+            elif descriptor[0] == "lit":
+                satisfied = assignment[abs(descriptor[2])] == \
+                    (1 if descriptor[2] > 0 else 0)
+                result = self.atom(("true" if satisfied else "false",
+                                    descriptor[1]))
             elif descriptor[0] in ("true", "false"):
                 result = t
             else:
@@ -418,8 +454,9 @@ def sdd_is_unsat(d):
 def sdd_count(d, over):
     over = set(over)
     leaves = d.store.vtree.variables
-    mentioned = d.store.mentioned_vars(d.node)
-    if not mentioned <= over:
+    # the store holds literals of its leaves only, so over covering the
+    # leaves covers every variable the diagram mentions
+    if not leaves <= over and not d.store.mentioned_vars(d.node) <= over:
         raise SddError("count asked over a set missing mentioned variables")
     base = d.store.count(d.node)
     extra = len(over - leaves)
