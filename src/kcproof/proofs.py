@@ -248,7 +248,9 @@ class _Backend:
     def init_ok(self, store, d, clause):
         return self.equal(d, self.clause(store, clause))
 
-    def join_ok(self, a, b, c):
+    def join_ok(self, a, b, c, clause=None):
+        """c is a and b.  clause, when given, is the clause of an init
+        line that b is; this check does not need it."""
         return self.equal(self.conjoin(self.store_of(c), a, b), c)
 
     def move_ok(self, old_d, new_d, x):
@@ -342,8 +344,51 @@ class _ObddBackend(_Backend):
 
 
 class _SddBackend(_Backend):
+    """Init lines and joins with an init premise are decided by
+    conditioning, with no clause diagram and no product.  The cells
+    {not l1, ..., not l(i-1), li} of a clause l1 or ... or lk and its
+    falsifying assignment partition the assignments, so c is a and the
+    clause exactly when c and a agree on every cell and c is false on the
+    falsifying assignment.  Each test restricts two diagrams and
+    compares ids, since a restriction keeps its store's canonical form:
+    at most 2k+1 restrictions, each linear in its diagram.  A repeated
+    literal has an empty cell, which is skipped, and a clause with both
+    x and not x has no falsifying assignment."""
+
     name = "sdd"
     diagram_type = SddRef
+
+    def init_ok(self, store, d, clause):
+        for lit in clause:
+            if abs(lit) not in store.leaf_path:
+                raise SddError("variable %d not in vtree" % abs(lit))
+        return self._conditioned_ok(self.true(store), d, clause)
+
+    def join_ok(self, a, b, c, clause=None):
+        if clause is None:
+            return super().join_ok(a, b, c)
+        return self._conditioned_ok(a, c, clause)
+
+    def _conditioned_ok(self, a, c, clause):
+        """c is a and the clause, by conditioning."""
+        falsifying = {}
+        for lit in clause:
+            var, value = abs(lit), int(lit > 0)
+            if var not in falsifying:
+                cell = {**falsifying, var: value}
+            elif falsifying[var] != value:
+                continue  # a repeated literal: the cell is empty
+            else:
+                cell = falsifying  # the clause holds x and not x
+            # c and a share most nodes the cell reaches, so they share a memo
+            memo = {}
+            if not self.equal(sdd_restrict(c, cell, memo),
+                              sdd_restrict(a, cell, memo)):
+                return False
+            if cell is falsifying:
+                return True
+            falsifying[var] = 1 - value
+        return self.is_false(self.restrict(c, falsifying))
 
     def store(self, tree):
         return SddStore(tree)
@@ -457,7 +502,7 @@ class _DsdnnfBackend(_Backend):
         return dsdnnf_count(d, leaves) == models \
             and dsdnnf_clausal_entails(d, clause)
 
-    def join_ok(self, a, b, c):
+    def join_ok(self, a, b, c, clause=None):
         return dsdnnf_join_check(a, b, c)
 
     def entails(self, a, b):
@@ -798,11 +843,17 @@ def _check_line(session, phi, line, track):
 
     if line.rule == "join":
         i, k = line.refs
+        if proof.lines[k - 1].rule != "init":
+            i, k = k, i  # an init premise, if there is one, goes second
         da, sa = session.line_diagram(i)
         db, sb = session.line_diagram(k)
         if session.store(sa) is not store or session.store(sb) is not store:
             return "join structure mismatch"
-        if not backend.join_ok(da, db, d):
+        # an init line's diagram is its clause, checked at that line
+        premise = proof.lines[k - 1]
+        clause = phi.clauses[premise.clause_index] \
+            if premise.rule == "init" else None
+        if not backend.join_ok(da, db, d, clause):
             return "join mismatch"
         return None
 

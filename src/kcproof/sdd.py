@@ -8,7 +8,11 @@ compressed (no two elements of one node share a sub), and the constant
 functions have one canonical node per vtree node.  Such diagrams are
 canonical (Darwiche, IJCAI 2011): two diagrams in one store compute the
 same function exactly when their root ids coincide, so equality and
-entailment are id comparisons.
+entailment are id comparisons.  A restriction stays in its store and is
+normalized at the root, so two diagrams agree on every assignment that
+extends a partial one exactly when their restrictions to it share an
+id: the checker decides init lines and joins with a clause premise that
+way, by conditioning instead of apply.
 
 Work that never changes under a fixed vtree is done once: each store
 memoises literal embeddings on (path, literal) and keeps the child paths of
@@ -29,8 +33,10 @@ pair of primes or subs as its own result, which apply returns at once.
 _compress sorts elements whose subs are all distinct, and only repeated
 subs go through the merge, whose disjunctions keep their order.
 restrict returns a node bound to a vtree node with no assigned
-variable, which every node below it shares; a rebuild through mk_dec
-would only find the same node again.
+variable, which every node below it shares, and a node whose restricted
+elements are its own; a rebuild through mk_dec would only find the same
+node again.  It visits only the children bound below an assigned
+variable.
 
 Node descriptors:
   ("lit", path, lit)        literal atom at a leaf
@@ -276,39 +282,53 @@ class SddStore:
         self.cache[("not", result)] = u
         return result
 
-    def restrict(self, u, assignment):
-        memo = {}
-        vars_at = self.vars_at
+    def restrict(self, u, assignment, memo=None):
+        """u with the assignment's variables fixed.  memo maps nodes to
+        their restrictions under this assignment; restrictions of several
+        diagrams under one assignment can share it.
+
+        Only nodes bound to a vtree node with an assigned variable are
+        visited: any other node is its own restriction, and so is a node
+        whose elements all are."""
+        if memo is None:
+            memo = {}
+        nodes, vars_at, children = self.nodes, self.vars_at, self.children
         assigned = frozenset(assignment)
 
         def rec(t):
-            if t in memo:
-                return memo[t]
-            descriptor = self.nodes[t]
-            if vars_at[descriptor[1]].isdisjoint(assigned):
-                # every node below is its own restriction, so mk_dec would
-                # only find t again
-                result = t
+            found = memo.get(t)
+            if found is not None:
+                return found
+            descriptor = nodes[t]
+            if descriptor[0] == "dec":
+                path = descriptor[1]
+                left, right = children[path]
+                on_left = not vars_at[left].isdisjoint(assigned)
+                on_right = not vars_at[right].isdisjoint(assigned)
+                false_left = self.false_at(left)
+                elements = []
+                for prime, sub in descriptor[2]:
+                    if on_left:
+                        prime = rec(prime)
+                        if prime == false_left:
+                            continue
+                    elements.append((prime, rec(sub) if on_right else sub))
+                # restrictions keep their paths, so the elements are
+                # normalized, and t's own elements would only find t again
+                result = t if tuple(elements) == descriptor[2] \
+                    else self._compress(path, elements)
             elif descriptor[0] == "lit":
                 satisfied = assignment[abs(descriptor[2])] == \
                     (1 if descriptor[2] > 0 else 0)
                 result = self.atom(("true" if satisfied else "false",
                                     descriptor[1]))
-            elif descriptor[0] in ("true", "false"):
-                result = t
             else:
-                path = descriptor[1]
-                false_left = self.false_at(path + "L")
-                elements = []
-                for prime, sub in descriptor[2]:
-                    prime = rec(prime)
-                    if prime == false_left:
-                        continue
-                    elements.append((prime, rec(sub)))
-                result = self.mk_dec(path, elements)
+                result = t
             memo[t] = result
             return result
 
+        if vars_at[self.node_path[u]].isdisjoint(assigned):
+            return u
         return rec(u)
 
     def count(self, u):
@@ -438,8 +458,8 @@ def sdd_negate(d):
     return SddRef(d.store, d.store.negate(d.node))
 
 
-def sdd_restrict(d, assignment):
-    return SddRef(d.store, d.store.restrict(d.node, assignment))
+def sdd_restrict(d, assignment, memo=None):
+    return SddRef(d.store, d.store.restrict(d.node, assignment, memo))
 
 
 def sdd_is_false(d):
