@@ -194,15 +194,10 @@ class ObddStore:
         return result
 
     def restrict(self, u, assignment):
-        # a node below every assigned variable is its own restriction, and
-        # rebuilding it through mk would only find it again; sinks are too
-        deepest = max((self.level[var] for var in assignment
-                       if var in self.level), default=-1)
-        levels = self.levels
         memo = {}
 
         def rec(t):
-            if levels[t] > deepest:
+            if self.is_terminal(t):
                 return t
             if t in memo:
                 return memo[t]

@@ -380,10 +380,8 @@ class _SddBackend(_Backend):
                 continue  # a repeated literal: the cell is empty
             else:
                 cell = falsifying  # the clause holds x and not x
-            # c and a share most nodes the cell reaches, so they share a memo
-            memo = {}
-            if not self.equal(sdd_restrict(c, cell, memo),
-                              sdd_restrict(a, cell, memo)):
+            if not self.equal(self.restrict(c, cell),
+                              self.restrict(a, cell)):
                 return False
             if cell is falsifying:
                 return True

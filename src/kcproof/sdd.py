@@ -33,9 +33,9 @@ pair of primes or subs as its own result, which apply returns at once.
 _compress sorts elements whose subs are all distinct, and only repeated
 subs go through the merge, whose disjunctions keep their order.
 restrict returns a node bound to a vtree node with no assigned
-variable, which every node below it shares, and a node whose restricted
-elements are its own; a rebuild through mk_dec would only find the same
-node again.  It visits only the children bound below an assigned
+variable, which every node below it shares, a constant, and a node whose
+restricted elements are its own; a rebuild through mk_dec would only
+find the same node again.  It visits only the children bound below an assigned
 variable.
 
 Node descriptors:
@@ -282,16 +282,13 @@ class SddStore:
         self.cache[("not", result)] = u
         return result
 
-    def restrict(self, u, assignment, memo=None):
-        """u with the assignment's variables fixed.  memo maps nodes to
-        their restrictions under this assignment; restrictions of several
-        diagrams under one assignment can share it.
+    def restrict(self, u, assignment):
+        """u with the assignment's variables fixed.
 
         Only nodes bound to a vtree node with an assigned variable are
-        visited: any other node is its own restriction, and so is a node
-        whose elements all are."""
-        if memo is None:
-            memo = {}
+        visited: any other node is its own restriction, and so is a
+        constant and a node whose elements all are."""
+        memo = {}
         nodes, vars_at, children = self.nodes, self.vars_at, self.children
         assigned = frozenset(assignment)
 
@@ -327,7 +324,10 @@ class SddStore:
             memo[t] = result
             return result
 
-        if vars_at[self.node_path[u]].isdisjoint(assigned):
+        path = self.node_path[u]
+        if vars_at[path].isdisjoint(assigned) \
+                or u == self._true_at.get(path) \
+                or u == self._false_at.get(path):
             return u
         return rec(u)
 
@@ -458,8 +458,8 @@ def sdd_negate(d):
     return SddRef(d.store, d.store.negate(d.node))
 
 
-def sdd_restrict(d, assignment, memo=None):
-    return SddRef(d.store, d.store.restrict(d.node, assignment, memo))
+def sdd_restrict(d, assignment):
+    return SddRef(d.store, d.store.restrict(d.node, assignment))
 
 
 def sdd_is_false(d):

@@ -88,20 +88,16 @@ def test_conditioning_matches_brute_force_and_the_product(setup, data):
 
 @settings(max_examples=100, deadline=None)
 @given(setups(), st.data())
-def test_restrictions_sharing_a_memo_match_separate_ones(setup, data):
-    n, tree, a_mask, clause = setup
+def test_a_constant_is_its_own_restriction_and_creates_nothing(setup, data):
+    n, tree, _, _ = setup
     assigned = data.draw(st.lists(st.integers(1, n), unique=True))
     assignment = {var: data.draw(st.integers(0, 1)) for var in assigned}
-    stores, results = [], []
-    for memo in ({}, None):
-        store = SddStore(tree)
-        a = from_mask(store, n, a_mask)
-        c = from_mask(store, n, a_mask & clause_mask(clause, n))
-        results.append([sdd_restrict(d, assignment, memo).node
-                        for d in (c, a)])
-        stores.append(store)
-    assert results[0] == results[1]
-    assert stores[0].nodes == stores[1].nodes
+    store = SddStore(tree)
+    for value in (True, False):
+        d = sdd_const(store, value)
+        nodes = list(store.nodes)
+        assert sdd_restrict(d, assignment).node == d.node
+        assert store.nodes == nodes
 
 
 @pytest.mark.parametrize("clause", [(1, 1), (2, -1, 2), (1, -1), (-2, 3, 2),
@@ -127,9 +123,9 @@ def test_each_conditioned_check_costs_at_most_2k_plus_1_restrictions(
     restricted = []
     real = proofs.sdd_restrict
 
-    def counting(d, assignment, *memo):
+    def counting(d, assignment):
         restricted.append(dict(assignment))
-        return real(d, assignment, *memo)
+        return real(d, assignment)
 
     def no_product(*args):
         raise AssertionError("a conditioned check ran a product")
