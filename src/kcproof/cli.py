@@ -25,13 +25,13 @@ from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
                          seq_formula, tseitin, vc_formula)
 from kcproof.proofs import (BACKENDS, LINE_FIELDS, RULES, ProofError,
-                            check_proof, check_resolution, fold_trace,
-                            parse_proof, parse_resolution, proof_to_text,
-                            resolution_to_text)
+                            check_proof, parse_proof, proof_to_text)
 from kcproof.refute import (RefuteError, compilation_to_refutation,
                             extract_representation, fold_backend,
-                            naive_conjoin_refute, obdd_refute_eq,
+                            fold_trace, naive_conjoin_refute, obdd_refute_eq,
                             resolution_refute_lifted, treewidth_refute)
+from kcproof.resolution import (check_resolution, parse_resolution,
+                                resolution_to_text)
 
 DEFAULT_CHECK_CAP = 10 ** 7
 

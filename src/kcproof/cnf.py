@@ -469,12 +469,3 @@ def validate_decomposition(graph: Graph, td: TreeDecomposition) -> bool:
         if seen != occ:
             return False
     return True
-
-
-def decomposition_to_text(td: TreeDecomposition) -> str:
-    lines = []
-    for bag_id, bag in enumerate(td.bags):
-        lines.append("b %d %s" % (bag_id, " ".join(str(v) for v in bag)))
-    for a, b in td.tree_edges:
-        lines.append("e %d %d" % (a, b))
-    return "\n".join(lines) + "\n"

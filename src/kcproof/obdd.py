@@ -319,19 +319,6 @@ def obdd_from_clause(store, clause):
     return ObddRef(store, acc)
 
 
-def obdd_from_term(store, assignment):
-    """Canonical OBDD of a conjunction of literals given as var -> 0/1."""
-    acc = store.TRUE
-    for var in reversed(store.order):
-        if var not in assignment:
-            continue
-        if assignment[var]:
-            acc = store.mk(var, store.FALSE, acc)
-        else:
-            acc = store.mk(var, acc, store.FALSE)
-    return ObddRef(store, acc)
-
-
 # ---------------------------------------------------------------- operations
 
 def _same_store(d1, d2):
@@ -427,25 +414,6 @@ def obdd_move_var(d, x, pos):
         "or",
         obdd_apply("and", obdd_negate(x_ref), zero),
         obdd_apply("and", x_ref, one))
-
-
-def obdd_reorder_chain(d, new_order):
-    """Diagrams along single-variable moves from d's order to new_order.
-
-    Step i places new_order[i] at position i, so the chain has at most n
-    steps; already-placed variables are skipped.  The last element (or d
-    itself when no step is needed) carries exactly new_order.
-    """
-    if set(new_order) != set(d.store.order):
-        raise ObddError("orders are over different variables")
-    chain = []
-    current = d
-    for pos, var in enumerate(new_order):
-        if current.store.order[pos] == var:
-            continue
-        current = obdd_move_var(current, var, pos)
-        chain.append(current)
-    return chain
 
 
 def obdd_truth_mask(d, num_vars):

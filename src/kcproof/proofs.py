@@ -11,12 +11,17 @@ diagram modules.
 
 The same file format hosts three diagram kinds (obdd, sdd, dsdnnf); the
 header fixes which one, and every structure statement must match it.
+
+This module is the trusted base's share of the package: the format, its
+parser and writer, and the checker.  Producers and proof transformations
+live in kcproof.refute and the resolution format in kcproof.resolution;
+this module imports neither.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from kcproof.cnf import CapExceeded, CnfError, restriction_map
+from kcproof.cnf import CapExceeded, CnfError
 from kcproof.structure import (
     StructureError,
     Vtree,
@@ -43,7 +48,6 @@ from kcproof.obdd import (
     obdd_equal,
     obdd_from_clause,
     obdd_from_lines,
-    obdd_literal,
     obdd_restrict,
     obdd_to_lines,
     obdd_total_size,
@@ -541,32 +545,6 @@ def backend_of(diagram):
     raise ProofError("not a diagram: %r" % (diagram,))
 
 
-def fold_clauses(backend, store, clauses, acc=None):
-    """Conjoin the clauses' diagrams onto acc, left to right, in one store.
-
-    Yields (clause diagram, conjunction so far) per clause.  Without acc
-    the first conjunction is the first clause diagram itself.
-    """
-    for clause in clauses:
-        d = backend.clause(store, clause)
-        acc = d if acc is None else backend.conjoin(store, acc, d)
-        yield d, acc
-
-
-def fold_trace(backend, store, clauses):
-    """The conjunction of the clauses, and its trace: ("init", index, d)
-    per clause, each but the first followed by ("join", i, j, conjunction)
-    with i, j the positions of the two steps joined.  No clauses conjoin
-    to the constant true."""
-    trace = []
-    acc = None
-    for index, (d, acc) in enumerate(fold_clauses(backend, store, clauses)):
-        trace.append(("init", index, d))
-        if index:
-            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
-    return (backend.true(store) if acc is None else acc), trace
-
-
 def diagram_payload(obj):
     """Serialize a diagram to the single-line payload of a d statement."""
     return ";".join(backend_of(obj).lines(obj))
@@ -967,243 +945,3 @@ def _clause_set(sets, line):
     if line.rule == "init":
         return frozenset((line.clause_index,))
     return frozenset().union(*(sets[ref] for ref in line.refs))
-
-
-def track_clause_sets(phi, proof):
-    """Which input clauses each line's diagram is the exact conjunction of.
-
-    Sound for weakening-free proofs only; a weaken line raises, since
-    after weakening a line no longer computes a conjunction of clauses.
-    """
-    sets = {}
-    for line in proof.lines:
-        if line.rule == "weaken":
-            raise ProofError(
-                "line %d: clause sets are not tracked past weakening"
-                % line.n)
-        if line.rule not in LINE_FIELDS:
-            raise ProofError("line %d: unknown rule %r" % (line.n, line.rule))
-        if line.rule == "init" \
-                and not 0 <= line.clause_index < len(phi.clauses):
-            raise ProofError("line %d: clause index out of range" % line.n)
-        if not all(1 <= ref < line.n for ref in line.refs):
-            raise ProofError("line %d: reference out of range" % line.n)
-        sets[line.n] = _clause_set(sets, line)
-    return sets
-
-
-# ----------------------------------------------------------------- resolution
-
-@dataclass(frozen=True)
-class ResolutionProof:
-    """Steps are ("input", clause_index) or ("res", i, j, pivot) with
-    1-based references to earlier steps and a positive pivot variable."""
-
-    steps: Tuple[Tuple, ...]
-
-
-def resolution_to_lines(r):
-    out = []
-    for n, step in enumerate(r.steps, start=1):
-        if step[0] == "input":
-            out.append("r %d input %d" % (n, step[1]))
-        else:
-            out.append("r %d res %d %d %d" % (n, step[1], step[2], step[3]))
-    return out
-
-
-def resolution_to_text(r):
-    return "\n".join(resolution_to_lines(r)) + "\n"
-
-
-def parse_resolution(text):
-    steps = []
-    expected_n = 1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        parts = line.split()
-        if parts[0] != "r":
-            raise ProofError("unknown statement %r" % line)
-        if len(parts) < 2:
-            raise ProofError("malformed resolution step %r" % line)
-        n = _int(parts[1], "step number")
-        if n != expected_n:
-            raise ProofError(
-                "step number %d out of sequence (expected %d)"
-                % (n, expected_n))
-        expected_n += 1
-        if len(parts) == 4 and parts[2] == "input":
-            steps.append(("input", _int(parts[3], "clause index")))
-        elif len(parts) == 6 and parts[2] == "res":
-            steps.append(("res", _int(parts[3], "step reference"),
-                          _int(parts[4], "step reference"),
-                          _int(parts[5], "pivot")))
-        else:
-            raise ProofError("malformed resolution step %r" % line)
-    return ResolutionProof(tuple(steps))
-
-
-def _resolution_clauses(phi, r):
-    """Clause of every step, or (step number, reason) on the first flaw."""
-    clauses = []
-    for n, step in enumerate(r.steps, start=1):
-        if step[0] == "input":
-            j = step[1]
-            if not 0 <= j < len(phi.clauses):
-                return None, (n, "input clause index out of range")
-            clauses.append(phi.clauses[j])
-        elif step[0] == "res":
-            _, i, j, pivot = step
-            if not (1 <= i < n and 1 <= j < n):
-                return None, (n, "resolution reference out of range")
-            if pivot <= 0:
-                return None, (n, "pivot must be a positive variable")
-            a, b = clauses[i - 1], clauses[j - 1]
-            if pivot in a and -pivot in b:
-                pass
-            elif -pivot in a and pivot in b:
-                a, b = b, a
-            else:
-                return None, (n, "pivot does not occur with opposite signs")
-            merged = (set(a) - {pivot}) | (set(b) - {-pivot})
-            clauses.append(tuple(sorted(merged, key=lambda l: (abs(l), l < 0))))
-        else:
-            return None, (n, "unknown step kind %r" % (step[0],))
-    return clauses, None
-
-
-def check_resolution(phi, r):
-    """Verdict for a resolution derivation; accepted when it ends empty."""
-    stats = {"lines": len(r.steps), "max_diagram_size": 0, "total_nodes": 0}
-    if not r.steps:
-        return Verdict(False, None, "empty resolution derivation", stats)
-    clauses, failure = _resolution_clauses(phi, r)
-    if failure is not None:
-        return Verdict(False, failure[0], failure[1], stats)
-    if clauses[-1]:
-        return Verdict(False, len(r.steps), "final clause is not empty", stats)
-    return Verdict(True, None, None, stats)
-
-
-def _clause_obdd(store, clause):
-    """Clause diagram tolerant of duplicate and clashing literals."""
-    result = ObddRef(store, store.FALSE)
-    for lit in sorted(set(clause), key=lambda l: (abs(l), l < 0)):
-        result = obdd_apply("or", result, obdd_literal(store, lit))
-    return result
-
-
-def resolution_to_obddw(phi, r, order=None):
-    """Translate a resolution refutation into a checkable obdd proof.
-
-    Inputs become init lines; each resolution step becomes the join of
-    its antecedent lines followed by a weakening to the resolvent's
-    clause diagram, so the output has (inputs) + 2*(resolution steps)
-    lines over the single given order (default: 1..num_vars).
-    """
-    verdict = check_resolution(phi, r)
-    if not verdict.accepted:
-        raise ProofError("resolution proof rejected: %s" % verdict.reason)
-    clauses, _ = _resolution_clauses(phi, r)
-    if order is None:
-        order = tuple(range(1, phi.num_vars + 1))
-    proof = Proof(ProofSystem("obdd", frozenset(("join", "weaken"))))
-    sid = proof.add_structure(tuple(order))
-    store = ObddStore(tuple(order))
-    line_of = {}
-    for n, step in enumerate(r.steps, start=1):
-        if step[0] == "input":
-            did = proof.add_diagram(
-                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
-            line_of[n] = proof.add_init(step[1], did)
-        else:
-            _, i, j, _pivot = step
-            joint = obdd_apply(
-                "and",
-                _clause_obdd(store, clauses[i - 1]),
-                _clause_obdd(store, clauses[j - 1]))
-            join_did = proof.add_diagram(sid, diagram_payload(joint))
-            join_n = proof.add_join(line_of[i], line_of[j], join_did)
-            weak_did = proof.add_diagram(
-                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
-            line_of[n] = proof.add_weaken(join_n, weak_did)
-    return proof
-
-
-# ---------------------------------------------------------------- restriction
-
-def restrict_proof(phi, proof, assignment):
-    """Apply a partial assignment through a weakening-free proof.
-
-    Every diagram is restricted in place over its unchanged structure;
-    init lines are re-targeted to the clause indices of the restricted
-    formula.  A satisfied clause's line turns into the constant-true
-    diagram and is dropped, references to a dropped line are redirected
-    to its surviving join antecedent, and the tail of the proof after
-    the line now carrying the final diagram is cut.  The result refutes
-    restrict_cnf(phi, assignment).
-    """
-    if "weaken" in proof.system.rules:
-        raise ProofError("restriction needs a weakening-free proof")
-    if not proof.lines:
-        raise ProofError("empty proof")
-    clause_map = restriction_map(phi, assignment)
-    session = _Session(proof, cap=10 ** 9)
-    out = Proof(proof.system)
-    # mapped[n] is the new line number carrying line n's restricted
-    # diagram, or None when that diagram is constant true and dropped.
-    mapped = {}
-    sid_map = {}
-
-    def out_sid(sid):
-        if sid not in sid_map:
-            sid_map[sid] = out.add_structure(proof.structures[sid])
-        return sid_map[sid]
-
-    def out_diagram(line):
-        d = session.diagram(line.diagram_id)
-        restricted = session.backend.restrict(d, assignment)
-        sid = session.diagram_structure(line.diagram_id)
-        return out.add_diagram(out_sid(sid), diagram_payload(restricted))
-
-    last_kept = None
-    for line in proof.lines:
-        if line.rule == "init":
-            new_index = clause_map.get(line.clause_index)
-            if new_index is None:
-                mapped[line.n] = None
-                continue
-            mapped[line.n] = out.add_init(new_index, out_diagram(line))
-        elif line.rule == "join":
-            a, b = mapped[line.refs[0]], mapped[line.refs[1]]
-            if a is None and b is None:
-                mapped[line.n] = None
-                continue
-            if a is None or b is None:
-                mapped[line.n] = a if b is None else b
-                continue
-            mapped[line.n] = out.add_join(a, b, out_diagram(line))
-        elif line.rule in ("move", "reorder"):
-            ref = mapped[line.refs[0]]
-            if ref is None:
-                mapped[line.n] = None
-                continue
-            sid = out_sid(line.structure_id)  # numbered before the diagram's
-            mapped[line.n] = out._append(replace(
-                line, n=len(out.lines) + 1, refs=(ref,), structure_id=sid,
-                diagram_id=out_diagram(line), cert_ids=()))
-        else:
-            raise ProofError("line %d: unexpected rule %r"
-                             % (line.n, line.rule))
-        last_kept = mapped[line.n]
-    final = mapped[proof.lines[-1].n]
-    if final is None:
-        raise ProofError("restriction drops every line of the proof")
-    if final != last_kept:
-        # The original final line collapsed onto an earlier antecedent;
-        # everything after that antecedent is dead weight for the
-        # refutation, so cut the tail.
-        out.lines = out.lines[:final]
-    return out

@@ -9,23 +9,30 @@ obdd_refute_eq            interleaved-order obdd refutation of the
                           shifted-equality contradiction chain
 extract_representation    diagram for the base formula, pulled out of a
                           weakening-free refutation of its chain lifting
+restrict_proof            refutation of a restricted formula, from a
+                          weakening-free refutation of the formula
 
-Producers return proof objects; file output and stats sidecars are the
-command line's business.
+fold_clauses and fold_trace are the one clause-by-clause conjunction,
+which the producers and the command line's compile paths share, and
+track_clause_sets names the input clauses that each line of a
+weakening-free proof conjoins.  Producers return proof objects; file
+output and stats sidecars are the command line's business.
 """
 
+from dataclasses import replace
+
 from .cnf import (CapExceeded, TreeDecomposition, primal_graph,
-                  tree_decomposition)
+                  restriction_map, tree_decomposition)
 from .structure import (StructureError, right_linear_vtree,
                         vtree_from_decomposition, vtree_node)
 from .obdd import ObddError, ObddStore
 from .sdd import SddError, SddStore
 from .dsdnnf import sdd_to_dsdnnf
 from .zoo import LiftedFormula, ZooError, eq_formula, lift_C, lift_Z
-from .proofs import (BACKENDS, Proof, ProofError, ProofSystem,
-                     ResolutionProof, _Session, backend_of, check_proof,
-                     diagram_payload, fold_clauses, fold_trace,
-                     track_clause_sets)
+from .proofs import (BACKENDS, LINE_FIELDS, Proof, ProofError, ProofSystem,
+                     _Session, _clause_set, backend_of, check_proof,
+                     diagram_payload)
+from .resolution import ResolutionProof
 
 
 class RefuteError(Exception):
@@ -33,6 +40,32 @@ class RefuteError(Exception):
 
 
 # ------------------------------------------------------------- naive folding
+
+def fold_clauses(backend, store, clauses, acc=None):
+    """Conjoin the clauses' diagrams onto acc, left to right, in one store.
+
+    Yields (clause diagram, conjunction so far) per clause.  Without acc
+    the first conjunction is the first clause diagram itself.
+    """
+    for clause in clauses:
+        d = backend.clause(store, clause)
+        acc = d if acc is None else backend.conjoin(store, acc, d)
+        yield d, acc
+
+
+def fold_trace(backend, store, clauses):
+    """The conjunction of the clauses, and its trace: ("init", index, d)
+    per clause, each but the first followed by ("join", i, j, conjunction)
+    with i, j the positions of the two steps joined.  No clauses conjoin
+    to the constant true."""
+    trace = []
+    acc = None
+    for index, (d, acc) in enumerate(fold_clauses(backend, store, clauses)):
+        trace.append(("init", index, d))
+        if index:
+            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
+    return (backend.true(store) if acc is None else acc), trace
+
 
 def fold_backend(fmt):
     """The backend a producer folds fmt diagrams in, and the export of its
@@ -349,6 +382,28 @@ def obdd_refute_eq(n, shift):
 
 # --------------------------------------------------------------- extraction
 
+def track_clause_sets(phi, proof):
+    """Which input clauses each line's diagram is the exact conjunction of.
+
+    Sound for weakening-free proofs only; a weaken line raises, since
+    after weakening a line no longer computes a conjunction of clauses.
+    """
+    sets = {}
+    for line in proof.lines:
+        if line.rule == "weaken":
+            raise ProofError(
+                "line %d: clause sets are not tracked past weakening"
+                % line.n)
+        if line.rule not in LINE_FIELDS:
+            raise ProofError("line %d: unknown rule %r" % (line.n, line.rule))
+        if line.rule == "init" \
+                and not 0 <= line.clause_index < len(phi.clauses):
+            raise ProofError("line %d: clause index out of range" % line.n)
+        if not all(1 <= ref < line.n for ref in line.refs):
+            raise ProofError("line %d: reference out of range" % line.n)
+        sets[line.n] = _clause_set(sets, line)
+    return sets
+
 def _neighbour_controls(lay, base, ell, a, include_self):
     core = {abs(lit) for lit in base.clauses[ell - 1]}
     for b in range(1, lay.m + 1):
@@ -493,3 +548,80 @@ def extract_representation(P, Z, var_cap=22):
     lifted = set(range(lay.n + 1, lay.z(lay.m + 1) + 1))
     target = backend.without(session.structure_value(sid), lifted)
     return backend.rebase(backend.store(target), out)
+
+
+# ---------------------------------------------------------------- restriction
+
+def restrict_proof(phi, proof, assignment):
+    """Apply a partial assignment through a weakening-free proof.
+
+    Every diagram is restricted in place over its unchanged structure;
+    init lines are re-targeted to the clause indices of the restricted
+    formula.  A satisfied clause's line turns into the constant-true
+    diagram and is dropped, references to a dropped line are redirected
+    to its surviving join antecedent, and the tail of the proof after
+    the line now carrying the final diagram is cut.  The result refutes
+    restrict_cnf(phi, assignment).
+    """
+    if "weaken" in proof.system.rules:
+        raise ProofError("restriction needs a weakening-free proof")
+    if not proof.lines:
+        raise ProofError("empty proof")
+    clause_map = restriction_map(phi, assignment)
+    session = _Session(proof, cap=10 ** 9)
+    out = Proof(proof.system)
+    # mapped[n] is the new line number carrying line n's restricted
+    # diagram, or None when that diagram is constant true and dropped.
+    mapped = {}
+    sid_map = {}
+
+    def out_sid(sid):
+        if sid not in sid_map:
+            sid_map[sid] = out.add_structure(proof.structures[sid])
+        return sid_map[sid]
+
+    def out_diagram(line):
+        d = session.diagram(line.diagram_id)
+        restricted = session.backend.restrict(d, assignment)
+        sid = session.diagram_structure(line.diagram_id)
+        return out.add_diagram(out_sid(sid), diagram_payload(restricted))
+
+    last_kept = None
+    for line in proof.lines:
+        if line.rule == "init":
+            new_index = clause_map.get(line.clause_index)
+            if new_index is None:
+                mapped[line.n] = None
+                continue
+            mapped[line.n] = out.add_init(new_index, out_diagram(line))
+        elif line.rule == "join":
+            a, b = mapped[line.refs[0]], mapped[line.refs[1]]
+            if a is None and b is None:
+                mapped[line.n] = None
+                continue
+            if a is None or b is None:
+                mapped[line.n] = a if b is None else b
+                continue
+            mapped[line.n] = out.add_join(a, b, out_diagram(line))
+        elif line.rule in ("move", "reorder"):
+            ref = mapped[line.refs[0]]
+            if ref is None:
+                mapped[line.n] = None
+                continue
+            sid = out_sid(line.structure_id)  # numbered before the diagram's
+            mapped[line.n] = out._append(replace(
+                line, n=len(out.lines) + 1, refs=(ref,), structure_id=sid,
+                diagram_id=out_diagram(line), cert_ids=()))
+        else:
+            raise ProofError("line %d: unexpected rule %r"
+                             % (line.n, line.rule))
+        last_kept = mapped[line.n]
+    final = mapped[proof.lines[-1].n]
+    if final is None:
+        raise ProofError("restriction drops every line of the proof")
+    if final != last_kept:
+        # The original final line collapsed onto an earlier antecedent;
+        # everything after that antecedent is dead weight for the
+        # refutation, so cut the tail.
+        out.lines = out.lines[:final]
+    return out

@@ -703,11 +703,13 @@ def sdd_truth_mask(d, num_vars):
 def sdd_compile_cnf(phi, store):
     """Clause-by-clause left-fold conjunction of phi inside the store.
 
-    Returns (final diagram, trace) as kcproof.proofs.fold_trace does: the
+    Returns (final diagram, trace) as kcproof.refute.fold_trace does: the
     trace is a list of steps ("init", clause_index, ref) and
     ("join", i, j, ref) with i, j indexing earlier steps.
     """
-    from .proofs import BACKENDS, fold_trace  # proofs imports this module
+    # both modules import this one
+    from .proofs import BACKENDS
+    from .refute import fold_trace
     return fold_trace(BACKENDS["sdd"], store, phi.clauses)
 
 

@@ -126,27 +126,6 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     raise ZooError("regular graph generation retry limit exceeded")
 
 
-def expansion_check(g: Graph, c: float) -> bool:
-    """Check |N(S)| >= c*|S| for every S with |S| <= n/2 (outside neighbors)."""
-    n = g.n_vertices
-    if n > 24:
-        raise ZooError("expansion check enumerates subsets; limited to 24 vertices")
-    adjacency = [set() for _ in range(n)]
-    for (u, v) in g.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    for size in range(1, n // 2 + 1):
-        for subset in itertools.combinations(range(n), size):
-            inside = set(subset)
-            outside = set()
-            for v in subset:
-                outside |= adjacency[v]
-            outside -= inside
-            if len(outside) < c * size:
-                return False
-    return True
-
-
 def tseitin(g: Graph, charges, max_degree: int = 6) -> CnfFormula:
     """Parity formula over edge variables: per vertex, incident edges sum
     to the vertex charge mod 2.  Repeated clauses are emitted once."""

@@ -69,17 +69,17 @@ from kcproof.proofs import (
     Proof,
     ProofSystem,
     check_proof,
-    check_resolution,
     diagram_payload,
-    restrict_proof,
 )
 from kcproof.refute import (
     extract_representation,
     naive_conjoin_refute,
     obdd_refute_eq,
     resolution_refute_lifted,
+    restrict_proof,
     treewidth_refute,
 )
+from kcproof.resolution import check_resolution
 
 PHI0 = cnf(1, [(1,), (-1,)])
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from kcproof import cli
 from kcproof.cnf import CnfFormula, brute_force_models, formula_mask
-from kcproof.proofs import BACKENDS, check_proof, fold_trace
-from kcproof.refute import naive_conjoin_refute
+from kcproof.proofs import BACKENDS, check_proof
+from kcproof.refute import fold_trace, naive_conjoin_refute
 from kcproof.structure import vtree_leaf, vtree_node
 
 

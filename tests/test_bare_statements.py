@@ -10,7 +10,8 @@ import pytest
 
 from kcproof import cli
 from kcproof.obdd import ObddError, parse_obdd
-from kcproof.proofs import ProofError, parse_proof, parse_resolution
+from kcproof.proofs import ProofError, parse_proof
+from kcproof.resolution import parse_resolution
 
 FORMULA = "p cnf 1 2\n1 0\n-1 0\n"
 

@@ -11,7 +11,6 @@ from kcproof.cnf import (
     all_models,
     brute_force_models,
     cnf,
-    decomposition_to_text,
     is_minimally_unsat,
     kl_profile,
     mk_clause,
@@ -278,10 +277,6 @@ class TestTreeDecomposition:
     @settings(max_examples=60)
     def test_always_valid(self, g):
         assert validate_decomposition(g, tree_decomposition(g))
-
-    def test_text_export(self):
-        td = tree_decomposition(mk_graph(2, [(0, 1)]))
-        assert decomposition_to_text(td) == "b 0 0 1\n"
 
     def test_validator_rejects_missing_edge_coverage(self):
         g = mk_graph(2, [(0, 1)])

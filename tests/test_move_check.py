@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof.cnf import cnf, formula_mask
-from kcproof.proofs import (Proof, ProofSystem, check_proof, diagram_payload,
-                            fold_trace)
-from kcproof.refute import fold_backend, naive_conjoin_refute
+from kcproof.proofs import Proof, ProofSystem, check_proof, diagram_payload
+from kcproof.refute import fold_backend, fold_trace, naive_conjoin_refute
 from kcproof.sdd import (SddError, SddStore, drop_leaf, rebind, sdd_apply,
                          sdd_count, sdd_from_clause, sdd_literal,
                          sdd_restrict, sdd_truth_mask)

@@ -14,12 +14,10 @@ from kcproof.obdd import (
     obdd_equal,
     obdd_from_clause,
     obdd_from_lines,
-    obdd_from_term,
     obdd_is_unsat,
     obdd_literal,
     obdd_move_var,
     obdd_negate,
-    obdd_reorder_chain,
     obdd_restrict,
     obdd_size,
     obdd_support,
@@ -67,11 +65,6 @@ class TestConstruction:
     def test_unit_clause(self):
         store = ObddStore((1, 2, 3))
         assert obdd_size(obdd_from_clause(store, (1,))) == 1
-
-    def test_term_single_model(self):
-        store = ObddStore((1, 2))
-        d = obdd_from_term(store, {1: 1, 2: 0})
-        assert obdd_count(d, {1, 2}) == 1
 
     def test_unordered_clause_literals(self):
         store = ObddStore((3, 1, 2))
@@ -258,28 +251,6 @@ class TestMove:
         moved = obdd_move_var(d, var, pos)
         assert obdd_truth_mask(moved, phi.num_vars) == \
             obdd_truth_mask(d, phi.num_vars)
-
-
-class TestReorderChain:
-    @given(formulas(max_vars=5), st.permutations([1, 2, 3, 4, 5]))
-    @settings(max_examples=40)
-    def test_chain_reaches_target_within_bound(self, phi, perm):
-        target = tuple(v for v in perm if v <= phi.num_vars)
-        store = ObddStore(tuple(range(1, phi.num_vars + 1)))
-        d = compile_formula(store, phi)
-        d_prime = compile_formula(ObddStore(target), phi)
-        chain = obdd_reorder_chain(d, target)
-        final = chain[-1] if chain else d
-        assert final.store.order == target
-        assert obdd_equal(final, d_prime)
-        bound = obdd_total_size(d) * obdd_total_size(d_prime)
-        for step in chain:
-            assert obdd_total_size(step) <= bound
-
-    def test_wrong_variable_set(self):
-        store = ObddStore((1, 2))
-        with pytest.raises(ObddError):
-            obdd_reorder_chain(obdd_literal(store, 1), (1, 3))
 
 
 class TestSerialization:

@@ -30,9 +30,9 @@ from kcproof.proofs import (
     check_proof,
     diagram_payload,
     proof_to_text,
-    resolution_to_obddw,
 )
 from kcproof.refute import obdd_refute_eq, resolution_refute_lifted
+from kcproof.resolution import resolution_to_obddw
 from kcproof.zoo import lift_Z, path, vc_formula
 
 # SHA-256 of the proof texts before the level table and the per-operation

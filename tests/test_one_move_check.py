@@ -9,9 +9,8 @@ import pytest
 from kcproof.cnf import cnf, formula_mask
 from kcproof.obdd import ObddStore, obdd_count, obdd_from_clause
 from kcproof.proofs import (Proof, ProofSystem, _Session, check_proof,
-                            diagram_payload, fold_trace, parse_proof,
-                            proof_to_text)
-from kcproof.refute import fold_backend, naive_conjoin_refute
+                            diagram_payload, parse_proof, proof_to_text)
+from kcproof.refute import fold_backend, fold_trace, naive_conjoin_refute
 from kcproof.structure import (move, order_move_of_vtree_move,
                                right_linear_vtree, vtree_leaf, vtree_node)
 

@@ -17,8 +17,9 @@ from kcproof import cli
 from kcproof.cnf import restrict_cnf
 from kcproof.dsdnnf import circuit_to_text
 from kcproof.obdd import obdd_to_text
-from kcproof.proofs import check_proof, proof_to_text, restrict_proof
-from kcproof.refute import extract_representation, naive_conjoin_refute
+from kcproof.proofs import check_proof, proof_to_text
+from kcproof.refute import (extract_representation, naive_conjoin_refute,
+                            restrict_proof)
 from kcproof.sdd import sdd_to_text
 from kcproof.structure import right_linear_vtree
 from kcproof.zoo import lift_Z, path, vc_formula

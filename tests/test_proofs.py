@@ -36,17 +36,18 @@ from kcproof.proofs import (
     Proof,
     ProofError,
     ProofSystem,
-    ResolutionProof,
     check_proof,
-    check_resolution,
     diagram_payload,
     parse_proof,
-    parse_resolution,
     proof_to_text,
+)
+from kcproof.refute import restrict_proof, track_clause_sets
+from kcproof.resolution import (
+    ResolutionProof,
+    check_resolution,
+    parse_resolution,
     resolution_to_obddw,
     resolution_to_text,
-    restrict_proof,
-    track_clause_sets,
 )
 
 PHI_UNSAT_2 = cnf(2, [(1, 2), (-1,), (-2,)])

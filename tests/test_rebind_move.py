@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from kcproof import sdd
 from kcproof.cnf import cnf
-from kcproof.proofs import BACKENDS, fold_trace
+from kcproof.proofs import BACKENDS
+from kcproof.refute import fold_trace
 from kcproof.sdd import (SddError, SddStore, drop_leaf, insert_leaf, rebind,
                          sdd_apply, sdd_const, sdd_from_clause, sdd_literal,
                          sdd_mentioned_vars, sdd_negate, sdd_truth_mask)

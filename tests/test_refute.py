@@ -15,12 +15,13 @@ from kcproof.dsdnnf import (clause_circuit, dsdnnf_conjoin, dsdnnf_is_unsat,
                             dsdnnf_restrict)
 from kcproof.zoo import (LiftedFormula, eq_formula, grid_family, lift_C,
                          lift_Z, path, vc_formula)
-from kcproof.proofs import (Proof, ProofSystem, check_proof, check_resolution,
-                            diagram_payload, parse_proof, proof_to_text)
+from kcproof.proofs import (Proof, ProofSystem, check_proof, diagram_payload,
+                            parse_proof, proof_to_text)
 from kcproof.refute import (RefuteError, compilation_to_refutation,
                             extract_representation, naive_conjoin_refute,
                             obdd_refute_eq, resolution_refute_lifted,
                             treewidth_refute)
+from kcproof.resolution import check_resolution
 
 PHI_CONTRA = cnf(1, [(1,), (-1,)])
 PHI_TWO_MODELS = cnf(2, [(1, 2), (-1, -2)])

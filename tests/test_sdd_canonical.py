@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof.cnf import cnf
-from kcproof.proofs import BACKENDS, fold_trace
+from kcproof.proofs import BACKENDS
+from kcproof.refute import fold_trace
 from kcproof.sdd import (SddStore, drop_leaf, rebind, sdd_entails, sdd_equal,
                          sdd_from_lines, sdd_negate, sdd_restrict,
                          sdd_to_lines, sdd_truth_mask)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof.cnf import cnf
-from kcproof.proofs import BACKENDS, fold_trace
+from kcproof.proofs import BACKENDS
+from kcproof.refute import fold_trace
 from kcproof.sdd import (SddError, SddStore, rebind, sdd_apply,
                          sdd_count, sdd_literal, sdd_restrict, sdd_to_lines,
                          sdd_truth_mask)

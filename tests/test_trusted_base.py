@@ -17,9 +17,8 @@ import pytest
 import kcproof
 from kcproof.cnf import cnf
 from kcproof.proofs import (BACKENDS, Proof, ProofSystem, check_proof,
-                            diagram_payload, fold_trace, parse_proof,
-                            proof_to_text)
-from kcproof.refute import fold_backend
+                            diagram_payload, parse_proof, proof_to_text)
+from kcproof.refute import fold_backend, fold_trace
 from kcproof.structure import vtree_leaf, vtree_node
 
 PHI = cnf(3, [(1, 2), (-1, 2), (-2, 3), (-3,)])

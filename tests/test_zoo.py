@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from kcproof.zoo import (
     binary_code,
     complete_binary_tree,
     eq_formula,
-    expansion_check,
     graph_product,
     grid_family,
     lift_C,
@@ -180,13 +177,6 @@ class TestRegularAndExpansion:
         with pytest.raises(ZooError):
             random_regular(5, 3, seed=0)
 
-    def test_k4_expands(self):
-        k4 = mk_graph(4, list(itertools.combinations(range(4), 2)))
-        assert expansion_check(k4, 0.5)
-
-    def test_cycle_does_not(self):
-        c8 = mk_graph(8, [(i, (i + 1) % 8) for i in range(8)])
-        assert not expansion_check(c8, 0.9)
 
 
 class TestTseitin:
