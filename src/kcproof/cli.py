@@ -420,9 +420,8 @@ def _cmd_refute(args):
         artifact = proof_to_text(proof)
         sizes["proof_lines"] = len(proof.lines)
     check_seconds = time.perf_counter() - start
-    for key in ("max_diagram_size", "total_nodes"):
-        if key in verdict.stats:
-            sizes[key] = verdict.stats[key]
+    found, rejection, code = _outcome(verdict)
+    sizes.update(found)
     report = run_report(
         "refute", parameters, sizes,
         {"produce_seconds": produce_seconds, "check_seconds": check_seconds},
@@ -434,11 +433,20 @@ def _cmd_refute(args):
             print("accepted (%d lines, max diagram %d)"
                   % (sizes["proof_lines"], sizes.get("max_diagram_size", 0)))
         else:
-            print("rejected at line %s: %s"
-                  % (verdict.failing_line, verdict.reason))
-    if verdict.accepted:
-        return 0
-    return 3 if verdict.resource else 1
+            print(rejection)
+    return code
+
+
+def _outcome(verdict):
+    """The verdict's diagram sizes, its rejection message and its exit
+    code: 0 accepted, 1 rejected, 3 over a resource cap."""
+    found = {key: verdict.stats[key]
+             for key in ("max_diagram_size", "total_nodes")
+             if key in verdict.stats}
+    rejection = "rejected at line %s: %s" % (verdict.failing_line,
+                                             verdict.reason)
+    return found, rejection, (0 if verdict.accepted
+                              else 3 if verdict.resource else 1)
 
 
 def _check_verdict(formula_path, proof_path, cap):
@@ -460,11 +468,9 @@ def _cmd_check(args):
     start = time.perf_counter()
     phi, kind, verdict, lines = _check_verdict(
         args.formula, args.proof, args.cap)
+    found, rejection, code = _outcome(verdict)
     sizes = {"variables": phi.num_vars, "clauses": phi.num_clauses,
-             "proof_lines": lines}
-    for key in ("max_diagram_size", "total_nodes"):
-        if key in verdict.stats:
-            sizes[key] = verdict.stats[key]
+             "proof_lines": lines, **found}
     report = run_report(
         "check",
         {"formula": args.formula, "proof": args.proof, "kind": kind,
@@ -476,11 +482,8 @@ def _cmd_check(args):
     elif verdict.accepted:
         print("accepted")
     else:
-        print("rejected at line %s: %s"
-              % (verdict.failing_line, verdict.reason))
-    if verdict.accepted:
-        return 0
-    return 3 if verdict.resource else 1
+        print(rejection)
+    return code
 
 
 def _cmd_extract(args):

@@ -31,7 +31,8 @@ pathological inputs raise a resource error instead of running away.
 """
 
 from kcproof.cnf import CapExceeded
-from kcproof.sdd import SddStore, sdd_from_clause
+from kcproof.sdd import (SddStore, sdd_apply, sdd_const, sdd_from_clause,
+                         sdd_literal)
 from kcproof.structure import right_linear_vtree, vtree_to_text
 
 
@@ -680,58 +681,21 @@ def clause_circuit(clause, tree):
 def obdd_to_dsdnnf(ref):
     """Convert an ordered decision diagram into a right-linear circuit.
 
-    The result carries right_linear_vtree(order); skipped levels are
-    padded with smoothing gadgets so or-gate children keep equal
-    variable sets.
+    Each reachable node, children first (ascending ids), is rebuilt as
+    (~x & lo) | (x & hi) in an SDD store on right_linear_vtree(order),
+    and the result is exported by sdd_to_dsdnnf, so the circuit carries
+    that vtree.
     """
     store = ref.store
-    order = store.order
-    position = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    out = Circuit(right_linear_vtree(order))
-    leaf_gadgets = {}
-    suffix = {}
-
-    def leaf_gadget(pos):
-        if pos not in leaf_gadgets:
-            v = order[pos]
-            leaf_gadgets[pos] = out.mk_or(out.mk_lit(v), out.mk_lit(-v))
-        return leaf_gadgets[pos]
-
-    def true_from(pos):
-        if pos == n:
-            return out.mk_true()
-        if pos not in suffix:
-            suffix[pos] = out.mk_and(leaf_gadget(pos), true_from(pos + 1))
-        return suffix[pos]
-
-    memo = {}
-
-    def conv(node):
-        if node in memo:
-            return memo[node]
+    target = SddStore(right_linear_vtree(store.order))
+    built = {store.FALSE: sdd_const(target, False),
+             store.TRUE: sdd_const(target, True)}
+    for node in sorted(store.reachable(ref.node) - set(built)):
         var, lo, hi = store.nodes[node]
-        pos = position[var]
-        lo_c = branch(lo, pos + 1)
-        hi_c = branch(hi, pos + 1)
-        r = out.mk_or(out.mk_and(out.mk_lit(-var), lo_c),
-                      out.mk_and(out.mk_lit(var), hi_c))
-        memo[node] = r
-        return r
-
-    def branch(node, from_pos):
-        if node == store.FALSE:
-            return out.mk_false()
-        if node == store.TRUE:
-            return true_from(from_pos)
-        target_pos = position[store.nodes[node][0]]
-        r = conv(node)
-        for pos in range(target_pos - 1, from_pos - 1, -1):
-            r = out.mk_and(leaf_gadget(pos), r)
-        return r
-
-    out.root = branch(ref.node, 0)
-    return out
+        built[node] = sdd_apply(
+            "or", sdd_apply("and", sdd_literal(target, -var), built[lo]),
+            sdd_apply("and", sdd_literal(target, var), built[hi]))
+    return sdd_to_dsdnnf(built[ref.node])
 
 
 def circuit_to_lines(circuit):

@@ -12,8 +12,10 @@ extract_representation    diagram for the base formula, pulled out of a
 restrict_proof            refutation of a restricted formula, from a
                           weakening-free refutation of the formula
 
-fold_clauses and fold_trace are the one clause-by-clause conjunction,
-which the producers and the command line's compile paths share, and
+Every join-only refutation is built as one trace of ("init", index, d)
+and ("join", i, j, d) steps.  _fold_steps appends a clause fold's steps
+for fold_trace, which the command line's compile paths share, and for
+the chain extension; _trace_proof writes a trace as proof lines.
 track_clause_sets names the input clauses that each line of a
 weakening-free proof conjoins.  Producers return proof objects; file
 output and stats sidecars are the command line's business.
@@ -41,16 +43,18 @@ class RefuteError(Exception):
 
 # ------------------------------------------------------------- naive folding
 
-def fold_clauses(backend, store, clauses, acc=None):
-    """Conjoin the clauses' diagrams onto acc, left to right, in one store.
-
-    Yields (clause diagram, conjunction so far) per clause.  Without acc
-    the first conjunction is the first clause diagram itself.
-    """
-    for clause in clauses:
-        d = backend.clause(store, clause)
-        acc = d if acc is None else backend.conjoin(store, acc, d)
-        yield d, acc
+def _fold_steps(backend, store, trace, clauses, start=0, acc=None):
+    """Append an init step per clause, indexed from start, each joined
+    onto the conjunction at position acc of the trace (the first clause
+    starts it when acc is None); returns the position of the last
+    conjunction, or acc when there are no clauses."""
+    for index, clause in enumerate(clauses, start):
+        trace.append(("init", index, backend.clause(store, clause)))
+        if acc is not None:
+            trace.append(("join", acc, len(trace) - 1, backend.conjoin(
+                store, trace[acc][-1], trace[-1][-1])))
+        acc = len(trace) - 1
+    return acc
 
 
 def fold_trace(backend, store, clauses):
@@ -59,12 +63,8 @@ def fold_trace(backend, store, clauses):
     with i, j the positions of the two steps joined.  No clauses conjoin
     to the constant true."""
     trace = []
-    acc = None
-    for index, (d, acc) in enumerate(fold_clauses(backend, store, clauses)):
-        trace.append(("init", index, d))
-        if index:
-            trace.append(("join", len(trace) - 2, len(trace) - 1, acc))
-    return (backend.true(store) if acc is None else acc), trace
+    last = _fold_steps(backend, store, trace, clauses)
+    return (backend.true(store) if last is None else trace[last][-1]), trace
 
 
 def fold_backend(fmt):
@@ -77,16 +77,18 @@ def fold_backend(fmt):
     return BACKENDS[fmt], lambda d: d
 
 
-def _emit_fold(proof, emit, folded, start, acc_line=None):
-    """One init line per clause of a fold, numbered from start, and one
-    join line onto acc_line per conjunction; returns the last conjunction
-    and its line."""
-    acc = None
-    for index, (d, acc) in enumerate(folded, start):
-        line = proof.add_init(index, emit(d))
-        acc_line = line if acc_line is None \
-            else proof.add_join(acc_line, line, emit(acc))
-    return acc, acc_line
+def _trace_proof(fmt, structure, trace, export):
+    """The join-only fmt proof over one structure with one line per
+    trace step; export turns a step's diagram into an fmt diagram."""
+    proof = Proof(ProofSystem(fmt, ("join",)))
+    sid = proof.add_structure(structure)
+    for step in trace:
+        did = proof.add_diagram(sid, diagram_payload(export(step[-1])))
+        if step[0] == "init":
+            proof.add_init(step[1], did)
+        else:
+            proof.add_join(step[1] + 1, step[2] + 1, did)
+    return proof
 
 
 def naive_conjoin_refute(phi, structure, fmt=None):
@@ -117,14 +119,8 @@ def naive_conjoin_refute(phi, structure, fmt=None):
         store = backend.store(structure)
     except (ObddError, SddError, StructureError) as err:
         raise RefuteError("invalid structure: %s" % err)
-    proof = Proof(ProofSystem(fmt, ("join",)))
-    sid = proof.add_structure(structure)
-
-    def emit(d):
-        return proof.add_diagram(sid, diagram_payload(export(d)))
-
-    _emit_fold(proof, emit, fold_clauses(backend, store, phi.clauses), 0)
-    return proof
+    _, trace = fold_trace(backend, store, phi.clauses)
+    return _trace_proof(fmt, structure, trace, export)
 
 
 # ----------------------------------------------------------- chain liftings
@@ -238,23 +234,39 @@ def _trace_store(comp):
     return backend, store, backend.structure_of(store)
 
 
-def _check_trace(comp, backend, store, m):
+def _check_trace(comp, backend, store, clauses):
+    """Refuse a trace unless every step is the conjunction it names, in
+    the shared store, and the last step conjoins all the clauses.  For a
+    trace built in that store each clause and conjunction is a cache
+    hit."""
+    masks = []
     for pos, step in enumerate(comp):
         ref = step[-1]
         if not (isinstance(ref, backend.diagram_type)
                 and backend.store_of(ref) == store):
             raise RefuteError("trace step %d leaves the shared store" % pos)
         if step[0] == "init":
-            if not 0 <= step[1] < m:
+            if not 0 <= step[1] < len(clauses):
                 raise RefuteError(
                     "trace step %d inits a clause outside the control"
                     " lifting" % pos)
+            masks.append(1 << step[1])
+            expected = backend.clause(store, clauses[step[1]])
         elif step[0] == "join":
             if not (0 <= step[1] < pos and 0 <= step[2] < pos):
                 raise RefuteError(
                     "trace step %d references a later step" % pos)
+            masks.append(masks[step[1]] | masks[step[2]])
+            expected = backend.conjoin(store, comp[step[1]][-1],
+                                       comp[step[2]][-1])
         else:
             raise RefuteError("unknown trace step %r" % (step[0],))
+        if not backend.equal(ref, expected):
+            raise RefuteError(
+                "trace step %d is not the conjunction it names" % pos)
+    if masks[-1] != (1 << len(clauses)) - 1:
+        raise RefuteError("compilation does not conjoin every clause of"
+                          " the control lifting")
 
 
 def compilation_to_refutation(comp, Z):
@@ -264,52 +276,36 @@ def compilation_to_refutation(comp, Z):
     `comp` is a list of ("init", clause_index, diagram) and
     ("join", i, j, diagram) steps referencing earlier steps, all
     diagrams in one store whose structure also covers the chain
-    variables; the last diagram must equal the conjunction of the
-    control lifting's clauses.  The trace is replayed as init and join
-    lines, the chain start is joined on, one block of joins per base
-    clause discharges that clause's implications, and the final join
-    with the chain end lands on the constant-false diagram.
+    variables; each step must be the conjunction it names and the last
+    must conjoin every clause of the control lifting.  The chain start
+    is joined onto the trace, one block of joins per base clause
+    discharges that clause's implications, and the final join with the
+    chain end lands on the constant-false diagram; each step becomes one
+    init or join line.
     """
     lay = _chain_layout(Z)
     if not comp:
         raise RefuteError("empty compilation trace")
     backend, store, structure = _trace_store(comp)
-    _check_trace(comp, backend, store, lay.m)
     clauses = Z.result.clauses
     mentioned = {abs(lit) for clause in clauses for lit in clause}
     if not mentioned <= backend.leaves(structure):
         raise RefuteError("trace structure does not cover the lifting")
-    expected, _ = fold_trace(backend, store, clauses[:lay.m])
-    if not backend.equal(comp[-1][-1], expected):
-        raise RefuteError("compilation does not equal the control lifting")
+    _check_trace(comp, backend, store, clauses[:lay.m])
 
-    proof = Proof(ProofSystem(backend.name, ("join",)))
-    sid = proof.add_structure(structure)
-
-    def emit(ref):
-        return proof.add_diagram(sid, diagram_payload(ref))
-
-    line_of = []
-    for step in comp:
-        if step[0] == "init":
-            line_of.append(proof.add_init(step[1], emit(step[2])))
-        else:
-            line_of.append(proof.add_join(
-                line_of[step[1]], line_of[step[2]], emit(step[3])))
-
-    def fold(start, stop, acc=None, acc_line=None):
-        folded = fold_clauses(backend, store, clauses[start:stop], acc)
-        return _emit_fold(proof, emit, folded, start, acc_line)
-
-    cur_ref, cur_line = fold(lay.z1_index, lay.z1_index + 1,
-                             comp[-1][-1], line_of[-1])
+    trace = list(comp)
+    cur = _fold_steps(backend, store, trace, [clauses[lay.z1_index]],
+                      lay.z1_index, len(trace) - 1)
     for i in range(1, lay.m + 1):
         start = lay.imp_index(i, 0)
-        block_ref, block_line = fold(start, start + lay.sizes[i - 1] + 1)
-        cur_ref = backend.conjoin(store, cur_ref, block_ref)
-        cur_line = proof.add_join(cur_line, block_line, emit(cur_ref))
-    fold(lay.last_index, lay.last_index + 1, cur_ref, cur_line)
-    return proof
+        block = _fold_steps(backend, store, trace,
+                            clauses[start:start + lay.sizes[i - 1] + 1], start)
+        trace.append(("join", cur, block, backend.conjoin(
+            store, trace[cur][-1], trace[block][-1])))
+        cur = len(trace) - 1
+    _fold_steps(backend, store, trace, [clauses[lay.last_index]],
+                lay.last_index, cur)
+    return _trace_proof(backend.name, structure, trace, lambda d: d)
 
 
 # --------------------------------------------------------- treewidth route
@@ -539,9 +535,9 @@ def extract_representation(P, Z, var_cap=22):
             "representation needs %d variables, cap is %d"
             % (len(mention), var_cap))
     out = backend.conjoin(store, pieces[0], pieces[1])
-    base_clauses = [Z.base.clauses[b - 1] for b in sorted(satisfied)]
-    for _, out in fold_clauses(backend, store, base_clauses, out):
-        pass
+    for b in sorted(satisfied):
+        out = backend.conjoin(store, out, backend.clause(
+            store, Z.base.clauses[b - 1]))
     # The restrictions assigned every control and chain variable, so the
     # result no longer depends on them: re-express it over the structure
     # induced on the base variables.
