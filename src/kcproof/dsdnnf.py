@@ -394,25 +394,7 @@ def dsdnnf_conjoin(d1, d2, tree):
     _, bind2 = _checked(d2, tree, check_or_sets=True)
     out = Circuit(tree)
     gates1, gates2 = d1.gates, d2.gates
-    copy1, copy2 = {}, {}
-
-    def copy(source, memo, i):
-        if i in memo:
-            return memo[i]
-        gate = source.gates[i]
-        if gate[0] == "and":
-            r = out.mk_and(copy(source, memo, gate[1]), copy(source, memo, gate[2]))
-        elif gate[0] == "or":
-            r = out.mk_or(copy(source, memo, gate[1]), copy(source, memo, gate[2]))
-        elif gate[0] == "lit":
-            r = out.mk_lit(gate[1])
-        elif gate[0] == "true":
-            r = out.mk_true()
-        else:
-            r = out.mk_false()
-        memo[i] = r
-        return r
-
+    copy1, copy2 = _rebuild(out, d1, {}), _rebuild(out, d2, {})
     memo = {}
 
     def prod(u, w):
@@ -420,9 +402,9 @@ def dsdnnf_conjoin(d1, d2, tree):
         if gu[0] == "false" or gw[0] == "false":
             return out.mk_false()
         if gu[0] == "true":
-            return copy(d2, copy2, w)
+            return copy2(w)
         if gw[0] == "true":
-            return copy(d1, copy1, u)
+            return copy1(u)
         key = (u, w)
         if key in memo:
             return memo[key]
@@ -439,18 +421,18 @@ def dsdnnf_conjoin(d1, d2, tree):
                     r = out.mk_and(prod(gu[1], gw[1]), prod(gu[2], gw[2]))
             elif pw.startswith(pu):
                 if pw[len(pu)] == "L":
-                    r = out.mk_and(prod(gu[1], w), copy(d1, copy1, gu[2]))
+                    r = out.mk_and(prod(gu[1], w), copy1(gu[2]))
                 else:
-                    r = out.mk_and(copy(d1, copy1, gu[1]), prod(gu[2], w))
+                    r = out.mk_and(copy1(gu[1]), prod(gu[2], w))
             elif pu.startswith(pw):
                 if pu[len(pw)] == "L":
-                    r = out.mk_and(prod(u, gw[1]), copy(d2, copy2, gw[2]))
+                    r = out.mk_and(prod(u, gw[1]), copy2(gw[2]))
                 else:
-                    r = out.mk_and(copy(d2, copy2, gw[1]), prod(u, gw[2]))
+                    r = out.mk_and(copy2(gw[1]), prod(u, gw[2]))
             else:
                 left_first = pu[len(_common_prefix(pu, pw))] == "L"
-                a = copy(d1, copy1, u)
-                b = copy(d2, copy2, w)
+                a = copy1(u)
+                b = copy2(w)
                 r = out.mk_and(a, b) if left_first else out.mk_and(b, a)
         memo[key] = r
         return r
@@ -478,6 +460,13 @@ def dsdnnf_restrict(d, assignment):
     leaves.
     """
     out = Circuit(d.vtree)
+    out.root = _rebuild(out, d, assignment)(d.root)
+    return out
+
+
+def _rebuild(out, d, assignment):
+    """The memoised copier of d's gates into out, children first; a
+    literal on a variable in assignment becomes a constant."""
     memo = {}
 
     def rec(i):
@@ -502,8 +491,7 @@ def dsdnnf_restrict(d, assignment):
         memo[i] = r
         return r
 
-    out.root = rec(d.root)
-    return out
+    return rec
 
 
 def dsdnnf_count(d, over):
@@ -604,34 +592,19 @@ def dsdnnf_join_check(d1, d2, d3):
     return dsdnnf_equiv(joint, d3)
 
 
-def _true_gadget(out, store, cache, path):
-    """Circuit for constant true mentioning exactly the variables under
-    path in the store's vtree."""
-    if path in cache:
-        return cache[path]
-    if path in store.children:
-        r = out.mk_and(*[_true_gadget(out, store, cache, child)
-                         for child in store.children[path]])
-    else:
-        v = store.paths[path].var
-        r = out.mk_or(out.mk_lit(v), out.mk_lit(-v))
-    cache[path] = r
-    return r
-
-
 def sdd_to_dsdnnf(d):
     """Convert a decision diagram into a circuit on the same vtree.
 
-    True atoms become smoothing gadgets over their vtree node, so every
-    or-gate keeps equal child variable sets; elements with false subs
-    are dropped.  Trivial decision layers at the root (a single live
-    element whose prime or sub is a true atom) are peeled off, which is
-    safe only there since no or-gate sits above the root.  Gate count is
-    at most 2*(nodes + element pairs) + 4*(2n - 1) + 2 for n variables.
+    True atoms, which sit at leaves only, become smoothing gadgets
+    x or not x, so every or-gate keeps equal child variable sets;
+    elements with false subs are dropped.  Trivial decision layers at the
+    root (a single live element whose prime or sub is a true atom) are
+    peeled off, which is safe only there since no or-gate sits above the
+    root.  Gate count is at most 2*(nodes + element pairs) + 4*(2n - 1)
+    + 2 for n variables.
     """
     store = d.store
     out = Circuit(store.vtree)
-    gadgets = {}
     memo = {}
 
     top = d.node
@@ -655,7 +628,8 @@ def sdd_to_dsdnnf(d):
         if descriptor[0] == "lit":
             r = out.mk_lit(descriptor[2])
         elif descriptor[0] == "true":
-            r = _true_gadget(out, store, gadgets, descriptor[1])
+            v = store.paths[descriptor[1]].var
+            r = out.mk_or(out.mk_lit(v), out.mk_lit(-v))
         elif descriptor[0] == "false":
             r = out.mk_false()
         else:

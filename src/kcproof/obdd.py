@@ -15,6 +15,78 @@ class ObddError(Exception):
     pass
 
 
+def _apply_worker(zero):
+    """The recursion of one binary operation: zero absorbs and the other
+    sink is the unit, so zero 0 conjoins and zero 1 disjoins.
+
+    The memo holds one operation's steps, under (smaller id, larger id).
+    lo is computed before hi, which fixes the order in which nodes, and so
+    their ids, appear.  A result node is interned without mk's checks,
+    since it branches above both children by construction.
+    """
+    one = 1 - zero
+
+    def work(store, a, b):
+        if a == zero or b == zero:
+            return zero
+        if a == one:
+            return b
+        if b == one or a == b:
+            return a
+        key = (a, b) if a < b else (b, a)
+        memo = store.memo
+        found = memo.get(key)
+        if found is not None:
+            return found
+        levels = store.levels
+        la = levels[a]
+        lb = levels[b]
+        if la <= lb:
+            var, a_lo, a_hi = store.nodes[a]
+            level = la
+        else:
+            a_lo = a_hi = a
+        if lb <= la:
+            var, b_lo, b_hi = store.nodes[b]
+            level = lb
+        else:
+            b_lo = b_hi = b
+        lo = work(store, a_lo, b_lo)
+        hi = work(store, a_hi, b_hi)
+        if lo == hi:
+            result = lo
+        else:
+            node = (var, lo, hi)
+            result = store.unique.get(node)
+            if result is None:
+                result = len(store.nodes)
+                store.nodes.append(node)
+                levels.append(level)
+                store.unique[node] = result
+        memo[key] = result
+        return result
+
+    return work
+
+
+def _rebuild(source, target, u, memo, assignment=()):
+    """u rebuilt bottom-up in target with target.mk, lo before hi.  memo
+    starts with the images of source's two sinks; a variable in
+    assignment is skipped to its branch."""
+    found = memo.get(u)
+    if found is not None:
+        return found
+    var, lo, hi = source.nodes[u]
+    if var in assignment:
+        result = _rebuild(source, target, hi if assignment[var] else lo,
+                          memo, assignment)
+    else:
+        result = target.mk(var, _rebuild(source, target, lo, memo, assignment),
+                           _rebuild(source, target, hi, memo, assignment))
+    memo[u] = result
+    return result
+
+
 class ObddStore:
 
     FALSE = 0
@@ -92,124 +164,15 @@ class ObddStore:
         self.cache[key] = result
         return result
 
-    # One worker per operation, the same but for the constant cases: sink
-    # ids are written as 0 and 1, and a result node is interned without
-    # mk's checks, since it branches above both children by construction.
-    # The memo holds one operation's steps, under (smaller id, larger id);
-    # lo is computed before hi, which fixes the order in which nodes, and
-    # so their ids, appear.
-
-    def _and(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1 or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        memo = self.memo
-        found = memo.get(key)
-        if found is not None:
-            return found
-        levels = self.levels
-        la = levels[a]
-        lb = levels[b]
-        if la <= lb:
-            var, a_lo, a_hi = self.nodes[a]
-            level = la
-        else:
-            a_lo = a_hi = a
-        if lb <= la:
-            var, b_lo, b_hi = self.nodes[b]
-            level = lb
-        else:
-            b_lo = b_hi = b
-        lo = self._and(a_lo, b_lo)
-        hi = self._and(a_hi, b_hi)
-        if lo == hi:
-            result = lo
-        else:
-            node = (var, lo, hi)
-            result = self.unique.get(node)
-            if result is None:
-                result = len(self.nodes)
-                self.nodes.append(node)
-                levels.append(level)
-                self.unique[node] = result
-        memo[key] = result
-        return result
-
-    def _or(self, a, b):
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0 or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        memo = self.memo
-        found = memo.get(key)
-        if found is not None:
-            return found
-        levels = self.levels
-        la = levels[a]
-        lb = levels[b]
-        if la <= lb:
-            var, a_lo, a_hi = self.nodes[a]
-            level = la
-        else:
-            a_lo = a_hi = a
-        if lb <= la:
-            var, b_lo, b_hi = self.nodes[b]
-            level = lb
-        else:
-            b_lo = b_hi = b
-        lo = self._or(a_lo, b_lo)
-        hi = self._or(a_hi, b_hi)
-        if lo == hi:
-            result = lo
-        else:
-            node = (var, lo, hi)
-            result = self.unique.get(node)
-            if result is None:
-                result = len(self.nodes)
-                self.nodes.append(node)
-                levels.append(level)
-                self.unique[node] = result
-        memo[key] = result
-        return result
+    # apply's two workers, alike but for which sink absorbs
+    _and = _apply_worker(0)
+    _or = _apply_worker(1)
 
     def _not(self, u):
-        if u == self.FALSE:
-            return self.TRUE
-        if u == self.TRUE:
-            return self.FALSE
-        memo = self.memo
-        found = memo.get(u)
-        if found is not None:
-            return found
-        var, lo, hi = self.nodes[u]
-        result = self.mk(var, self._not(lo), self._not(hi))
-        memo[u] = result
-        return result
+        return _rebuild(self, self, u, {0: 1, 1: 0})
 
     def restrict(self, u, assignment):
-        memo = {}
-
-        def rec(t):
-            if self.is_terminal(t):
-                return t
-            if t in memo:
-                return memo[t]
-            var, lo, hi = self.nodes[t]
-            if var in assignment:
-                result = rec(hi if assignment[var] else lo)
-            else:
-                result = self.mk(var, rec(lo), rec(hi))
-            memo[t] = result
-            return result
-
-        return rec(u)
+        return _rebuild(self, self, u, {0: 0, 1: 1}, assignment)
 
     def support(self, u):
         nodes = self.nodes
@@ -234,35 +197,25 @@ class ObddStore:
 
     def count(self, u, over):
         over = set(over)
-        supp = self.support(u)
-        if not supp <= over:
-            raise ObddError("count asked over a set missing support variables")
-        svars = [v for v in self.order if v in supp]
-        rank = {v: i for i, v in enumerate(svars)}
-        m = len(svars)
-        if self.is_terminal(u):
-            return (1 << len(over)) if u == self.TRUE else 0
-        memo = {}
-
-        def rec(t):
-            # models over the support variables from this node's rank onward
-            if t == self.FALSE:
-                return 0
-            if t == self.TRUE:
-                return 1
-            if t in memo:
-                return memo[t]
-            var, lo, hi = self.nodes[t]
-            r = rank[var]
-            total = 0
-            for child in (lo, hi):
-                sub = rec(child)
-                child_rank = m if self.is_terminal(child) else rank[self.nodes[child][0]]
-                total += sub << (child_rank - r - 1)
-            memo[t] = total
-            return total
-
-        return rec(u) << (len(over) - m)
+        nodes = self.nodes
+        levels = self.levels
+        # models of each node over the order from its level on; children
+        # have smaller ids than their parents, so one ascending pass does
+        counts = {0: 0, 1: 1}
+        for t in sorted(self.reachable(u)):
+            if t > 1:
+                var, lo, hi = nodes[t]
+                if var not in over:
+                    raise ObddError(
+                        "count asked over a set missing support variables")
+                below = levels[t] + 1
+                counts[t] = (counts[lo] << (levels[lo] - below)) \
+                    + (counts[hi] << (levels[hi] - below))
+        # over the whole order, then over `over`: an order variable outside
+        # the support doubles the count as any other free variable does
+        total = counts[u] << levels[u]
+        shift = len(over) - len(self.order)
+        return total << shift if shift >= 0 else total >> -shift
 
 
 class ObddRef:
@@ -379,21 +332,13 @@ def migrate(target, d):
     """Rebuild d inside another store.  The target order must keep the
     relative order of d's support variables."""
     src = d.store
-    svars = [v for v in src.order if v in src.support(d.node)]
-    kept = [v for v in target.order if v in set(svars)]
-    if kept != svars:
+    support = src.support(d.node)
+    svars = [v for v in src.order if v in support]
+    if [v for v in target.order if v in support] != svars:
         raise ObddError("target order disagrees on the support variables")
-    memo = {src.FALSE: target.FALSE, src.TRUE: target.TRUE}
-
-    def rec(t):
-        if t in memo:
-            return memo[t]
-        var, lo, hi = src.nodes[t]
-        result = target.mk(var, rec(lo), rec(hi))
-        memo[t] = result
-        return result
-
-    return ObddRef(target, rec(d.node))
+    return ObddRef(target, _rebuild(src, target, d.node,
+                                    {src.FALSE: target.FALSE,
+                                     src.TRUE: target.TRUE}))
 
 
 def obdd_move_var(d, x, pos):
