@@ -33,7 +33,7 @@ pathological inputs raise a resource error instead of running away.
 from kcproof.cnf import CapExceeded
 from kcproof.sdd import (SddStore, sdd_apply, sdd_const, sdd_from_clause,
                          sdd_literal)
-from kcproof.structure import right_linear_vtree, vtree_to_text
+from kcproof.structure import node_table, right_linear_vtree, vtree_to_text
 
 
 class DsdnnfError(Exception):
@@ -200,22 +200,17 @@ def _vtree_table(tree):
     of each internal node, keyed by path, the path of each variable's
     leaf, and the path of the leftmost leaf."""
     masks = {}
-
-    def walk(node, path):
-        if node.var is not None:
-            masks[path] = 1 << (node.var - 1)
-            return masks[path]
-        masks[path] = walk(node.left, path + "L") | walk(node.right, path + "R")
-        return masks[path]
-
-    walk(tree, "")
     halves = {}
     leaf = {}
-    for path, mask in masks.items():
-        if path + "L" in masks:
-            halves[path] = (masks[path + "L"], masks[path + "R"])
+    # reverse preorder: both children of a node come before it
+    for path, node in reversed(node_table(tree).items()):
+        if node.is_leaf:
+            masks[path] = 1 << (node.var - 1)
+            leaf[node.var] = path
         else:
-            leaf[mask.bit_length()] = path
+            left, right = masks[path + "L"], masks[path + "R"]
+            halves[path] = left, right
+            masks[path] = left | right
     bottom = ""
     while bottom in halves:
         bottom += "L"
@@ -587,9 +582,7 @@ def dsdnnf_equiv(d1, d2):
 
 def dsdnnf_join_check(d1, d2, d3):
     tree = _shared_vtree(d1, d2, d3)
-    joint = dsdnnf_conjoin(d1, d2, tree)
-    joint.vtree = tree
-    return dsdnnf_equiv(joint, d3)
+    return dsdnnf_equiv(dsdnnf_conjoin(d1, d2, tree), d3)
 
 
 def sdd_to_dsdnnf(d):

@@ -302,8 +302,7 @@ def obdd_is_unsat(d):
 
 def obdd_entails(d1, d2):
     _same_store(d1, d2)
-    store = d1.store
-    return store.apply("and", d1.node, store.negate(d2.node)) == store.FALSE
+    return d1.store.apply("and", d1.node, d2.node) == d1.node
 
 
 def obdd_equal(d1, d2):
@@ -389,18 +388,18 @@ def obdd_to_lines(d):
     nodes = d.store.nodes
     lines = []
     names = {ObddStore.FALSE: "F", ObddStore.TRUE: "T"}  # emitted so far
-
-    def walk(t):
+    stack = [d.node] if d.node not in names else []
+    while stack:  # depth first, lo before hi, each node after its children
+        t = stack[-1]
         var, lo, hi = nodes[t]
         if lo not in names:
-            walk(lo)
-        if hi not in names:
-            walk(hi)
-        name = names[t] = str(t)
-        lines.append("n %s %d %s %s" % (name, var, names[lo], names[hi]))
-
-    if d.node not in names:
-        walk(d.node)
+            stack.append(lo)
+        elif hi not in names:
+            stack.append(hi)
+        else:
+            stack.pop()
+            name = names[t] = str(t)
+            lines.append("n %s %d %s %s" % (name, var, names[lo], names[hi]))
     lines.append("root " + names[d.node])
     return lines
 

@@ -716,34 +716,41 @@ def sdd_compile_cnf(phi, store):
 # -------------------------------------------------------------- serialization
 
 def sdd_to_lines(d):
+    """Node statements, each after those of the nodes it names, then the
+    root statement.  Writing may create a path's `true_at` or `false_at`
+    node, since a decision node equal to one is written as that atom."""
     store = d.store
     lines = []
     emitted = set()
-
-    def walk(t):
+    stack = [d.node]  # nodes to write, and decision lines due after theirs
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            lines.append(t)
+            continue
         if t in emitted:
-            return
+            continue
         emitted.add(t)
         descriptor = store.nodes[t]
         path_text = path_to_text(store.node_path[t])
         if descriptor[0] == "dec":
             if t == store.true_at(store.node_path[t]):
                 lines.append("a %d %s true" % (t, path_text))
-                return
-            if t == store.false_at(store.node_path[t]):
+            elif t == store.false_at(store.node_path[t]):
                 lines.append("a %d %s false" % (t, path_text))
-                return
-            for prime, sub in descriptor[2]:
-                walk(prime)
-                walk(sub)
-            elements = "".join("(%d %d)" % element for element in descriptor[2])
-            lines.append("s %d %s %s" % (t, path_text, elements))
+            else:
+                elements = "".join("(%d %d)" % e for e in descriptor[2])
+                stack.append("s %d %s %s" % (t, path_text, elements))
+                # written nodes are skipped here only to keep the stack short
+                for prime, sub in reversed(descriptor[2]):
+                    if sub not in emitted:
+                        stack.append(sub)
+                    if prime not in emitted:
+                        stack.append(prime)
         elif descriptor[0] == "lit":
             lines.append("a %d %s lit %d" % (t, path_text, descriptor[2]))
         else:
             lines.append("a %d %s %s" % (t, path_text, descriptor[0]))
-
-    walk(d.node)
     lines.append("root %d" % d.node)
     return lines
 

@@ -50,9 +50,7 @@ class Vtree:
         return self._variables
 
     def leaves_in_order(self) -> List[int]:
-        if self.is_leaf:
-            return [self.var]
-        return self.left.leaves_in_order() + self.right.leaves_in_order()
+        return [node.var for node in node_table(self).values() if node.is_leaf]
 
 
 def vtree_leaf(var: int) -> Vtree:
@@ -72,19 +70,16 @@ def right_linear_vtree(order: VarOrder) -> Vtree:
     return tree
 
 
-def is_right_linear(tree: Vtree) -> bool:
-    while not tree.is_leaf:
-        if not tree.left.is_leaf:
-            return False
-        tree = tree.right
-    return True
-
-
 def right_linear_order(tree: Vtree) -> Optional[VarOrder]:
     """The variable order of a right-linear vtree, None for any other shape."""
-    if not is_right_linear(tree):
-        return None
-    return tuple(tree.leaves_in_order())
+    order = []
+    while not tree.is_leaf:
+        if not tree.left.is_leaf:
+            return None
+        order.append(tree.left.var)
+        tree = tree.right
+    order.append(tree.var)
+    return tuple(order)
 
 
 def validate_vtree(tree: Vtree, variables) -> bool:
@@ -122,34 +117,37 @@ def parse_path(text: str) -> str:
 
 
 def path_of_var(tree: Vtree, var: int) -> Optional[str]:
-    if tree.is_leaf:
-        return "" if tree.var == var else None
-    if var in tree.left.variables:
-        return "L" + path_of_var(tree.left, var)
-    if var in tree.right.variables:
-        return "R" + path_of_var(tree.right, var)
-    return None
+    path = ""
+    while tree.var is None and var in tree.variables:
+        path += "L" if var in tree.left.variables else "R"
+        tree = tree.left if path[-1] == "L" else tree.right
+    return path if tree.var == var else None
 
 
 # ----------------------------------------------------------------------- move
 
+def _replace(tree: Vtree, path: str, subtree: Vtree) -> Vtree:
+    """tree with the node at path replaced by subtree; only the nodes on
+    the path above it are rebuilt."""
+    spine = []
+    for step in path:
+        spine.append(tree)
+        tree = tree.left if step == "L" else tree.right
+    for node, step in zip(reversed(spine), reversed(path)):
+        subtree = (vtree_node(subtree, node.right) if step == "L"
+                   else vtree_node(node.left, subtree))
+    return subtree
+
+
 def remove_leaf(tree: Vtree, var: int) -> Vtree:
     """Delete the leaf of var; its parent is spliced out."""
-    if var not in tree.variables:
+    path = path_of_var(tree, var)
+    if path is None:
         raise StructureError("variable %d not in vtree" % var)
-    if tree.is_leaf:
+    if not path:
         raise StructureError("cannot remove the only leaf")
-
-    def walk(node: Vtree) -> Vtree:
-        if node.left.is_leaf and node.left.var == var:
-            return node.right
-        if node.right.is_leaf and node.right.var == var:
-            return node.left
-        if var in node.left.variables:
-            return vtree_node(walk(node.left), node.right)
-        return vtree_node(node.left, walk(node.right))
-
-    return walk(tree)
+    sibling = path[:-1] + ("R" if path[-1] == "L" else "L")
+    return _replace(tree, path[:-1], resolve_path(tree, sibling))
 
 
 def move(tree: Vtree, var: int, w_path: str, direction: str) -> Vtree:
@@ -163,19 +161,10 @@ def move(tree: Vtree, var: int, w_path: str, direction: str) -> Vtree:
     if direction not in ("l", "r"):
         raise StructureError("direction must be 'l' or 'r'")
     remainder = remove_leaf(tree, var)
-    resolve_path(remainder, w_path)  # raises if invalid
+    w = resolve_path(remainder, w_path)  # raises if invalid
     leaf = vtree_leaf(var)
-
-    def rebuild(node: Vtree, path: str) -> Vtree:
-        if not path:
-            if direction == "l":
-                return vtree_node(leaf, node)
-            return vtree_node(node, leaf)
-        if path[0] == "L":
-            return vtree_node(rebuild(node.left, path[1:]), node.right)
-        return vtree_node(node.left, rebuild(node.right, path[1:]))
-
-    return rebuild(remainder, w_path)
+    pair = vtree_node(leaf, w) if direction == "l" else vtree_node(w, leaf)
+    return _replace(remainder, w_path, pair)
 
 
 def single_variable_move(order: VarOrder, var: int, pos: int) -> VarOrder:
@@ -201,11 +190,17 @@ def order_move_of_vtree_move(tree: Vtree, var: int, w_path: str,
 # -------------------------------------------------------------- serialization
 
 def vtree_to_text(tree: Vtree) -> str:
-    def fmt(node: Vtree) -> str:
-        if node.is_leaf:
-            return "x%d" % node.var
-        return "(%s %s)" % (fmt(node.left), fmt(node.right))
-    return fmt(tree)
+    parts, stack = [], [tree]  # nodes still to write, and the text between
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif node.var is None:
+            parts.append("(")
+            stack += (")", node.right, " ", node.left)
+        else:
+            parts.append("x%d" % node.var)
+    return "".join(parts)
 
 
 def parse_vtree(text: str) -> Vtree:
@@ -305,12 +300,10 @@ def vtree_from_decomposition(td: TreeDecomposition, phi: CnfFormula) -> Vtree:
 def node_table(tree: Vtree) -> Dict[str, Vtree]:
     """All nodes keyed by path, in preorder."""
     table: Dict[str, Vtree] = {}
-
-    def walk(node: Vtree, path: str):
+    stack = [("", tree)]
+    while stack:
+        path, node = stack.pop()
         table[path] = node
-        if not node.is_leaf:
-            walk(node.left, path + "L")
-            walk(node.right, path + "R")
-
-    walk(tree, "")
+        if node.var is None:
+            stack += ((path + "R", node.right), (path + "L", node.left))
     return table
