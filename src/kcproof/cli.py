@@ -19,7 +19,7 @@ from kcproof.structure import (StructureError, right_linear_vtree,
 from kcproof.obdd import ObddError, obdd_size, obdd_to_text, parse_obdd
 from kcproof.sdd import SddError, parse_sdd, sdd_size, sdd_to_text
 from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
-                            dsdnnf_count_own_vars, parse_circuit,
+                            circuit_vars, dsdnnf_count, parse_circuit,
                             validate_deterministic)
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
@@ -132,23 +132,18 @@ def _write_text(path, text):
         raise UsageError("cannot write %s: %s" % (path, exc))
 
 
-def _emit_artifact(args, text, report):
-    """Write the artifact to -o or stdout and honour --json.
-
-    With -o the artifact goes to the file and the caller may still print
-    a summary; without -o the artifact itself is the stdout payload, so
-    --json has nowhere to go and is rejected.
-    """
-    if args.output is None:
-        if getattr(args, "json", False):
+def _finish(args, report, summary, artifact=None):
+    """End a subcommand: write the artifact, if any, to -o, then print the
+    --json report or the summary.  Without -o the artifact alone goes to
+    stdout, so --json has nowhere to go and is rejected."""
+    if artifact is not None:
+        if args.output is None and args.json:
             raise UsageError("--json needs -o, stdout carries the artifact")
-        sys.stdout.write(text)
-        return False
-    _write_text(args.output, text)
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2))
-        return True
-    return True
+        if args.output is None:
+            sys.stdout.write(artifact)
+            return
+        _write_text(args.output, artifact)
+    print(json.dumps(report, indent=2) if args.json else summary)
 
 
 # ------------------------------------------------------------ formula files
@@ -240,8 +235,8 @@ def _count_models(fmt, d):
     if fmt == "dsdnnf":
         if d.vtree is None:
             # deciding determinism without a vtree is coNP-hard: presumed
-            return dsdnnf_count_own_vars(d)
-        # checks every literal against the vtree before it builds any mask
+            return dsdnnf_count(d, circuit_vars(d))
+        # checks every literal against the vtree before it binds any gate
         if not validate_deterministic(d, d.vtree):
             raise DsdnnfError("circuit is not deterministic")
     return backend.count(d, backend.structure_of(backend.store_of(d)))
@@ -262,52 +257,59 @@ def _detect_proof(text):
 
 # ------------------------------------------------------------- subcommands
 
+# Each gen family: its help, its integer flags as (dest, flag, help,
+# default), None for a required flag, and its formula from the flag values
+# in order.  A flag's name keys its value in the report and "c gen" line.
+_FAMILIES = {
+    "vc-path": ("vertex cover of a path",
+                [("l", "--l", "edge count", None)],
+                lambda l: vc_formula(path(l))),
+    "vc-tree": ("vertex cover of a complete tree",
+                [("height", "--h", "tree height", None)],
+                lambda h: vc_formula(complete_binary_tree(h))),
+    "vc-grid": ("vertex cover of a tree-path product",
+                [("height", "--h", "tree height", None),
+                 ("l", "--l", "path length", None)],
+                lambda h, l: vc_formula(grid_family(h, l))),
+    "eq": ("shifted equality formula",
+           [("n", "--n", "block size, a power of two", None),
+            ("shift", "--shift", None, 0)],
+           eq_formula),
+    "tseitin": ("parity formula over a random regular graph, odd total"
+                " charge",
+                [("n", "--n", "vertex count", None),
+                 ("degree", "--d", "vertex degree", None),
+                 ("seed", "--seed", None, None)],
+                lambda n, d, seed: tseitin(random_regular(n, d, seed),
+                                           [1] + [0] * (n - 1))),
+    "seq": ("selector-guarded union of shifted equality liftings",
+            [("n", "--n", None, None)], seq_formula),
+    "contra": ("the one-variable contradiction", [],
+               lambda: cnf(1, [(1,), (-1,)])),
+}
+
+
 def _cmd_gen(args):
     start = time.perf_counter()
-    parameters = {"family": args.family}
-    if args.family == "vc-path":
-        phi = vc_formula(path(args.l))
-        parameters["l"] = args.l
-    elif args.family == "vc-tree":
-        phi = vc_formula(complete_binary_tree(args.height))
-        parameters["h"] = args.height
-    elif args.family == "vc-grid":
-        phi = vc_formula(grid_family(args.height, args.l))
-        parameters.update({"h": args.height, "l": args.l})
-    elif args.family == "eq":
-        phi = eq_formula(args.n, args.shift)
-        parameters.update({"n": args.n, "shift": args.shift})
-    elif args.family == "tseitin":
-        graph = random_regular(args.n, args.degree, args.seed)
-        charges = [1] + [0] * (args.n - 1)
-        phi = tseitin(graph, charges)
-        parameters.update({"n": args.n, "d": args.degree, "seed": args.seed})
-    elif args.family == "seq":
-        phi = seq_formula(args.n)
-        parameters["n"] = args.n
-    else:
-        phi = cnf(1, [(1,), (-1,)])
+    _, flags, build = _FAMILIES[args.family]
+    values = {flag[2:]: getattr(args, dest) for dest, flag, _, _ in flags}
+    phi = build(*values.values())
     comment = "c gen %s\n" % " ".join(
-        [args.family] + ["%s=%s" % (k, parameters[k])
-                         for k in sorted(parameters) if k != "family"])
+        [args.family] + ["%s=%s" % item for item in sorted(values.items())])
     report = run_report(
-        "gen", parameters,
+        "gen", {"family": args.family, **values},
         {"variables": phi.num_vars, "clauses": phi.num_clauses},
         {"wall_seconds": time.perf_counter() - start})
-    if _emit_artifact(args, comment + to_dimacs(phi), report) \
-            and not args.json:
-        print("wrote %s (%d variables, %d clauses)"
-              % (args.output, phi.num_vars, phi.num_clauses))
+    _finish(args, report, "wrote %s (%d variables, %d clauses)"
+            % (args.output, phi.num_vars, phi.num_clauses),
+            comment + to_dimacs(phi))
     return 0
 
 
 def _cmd_lift(args):
     start = time.perf_counter()
     phi, _ = _load_formula(args.input)
-    if args.kind == "z":
-        lifted = lift_Z(phi).result
-    else:
-        lifted = lift_C(phi)
+    lifted = lift_Z(phi).result if args.kind == "z" else lift_C(phi)
     marker = "c lift %s %d %d\n" % (args.kind, phi.num_vars, phi.num_clauses)
     report = run_report(
         "lift",
@@ -315,10 +317,9 @@ def _cmd_lift(args):
          "base_variables": phi.num_vars, "base_clauses": phi.num_clauses},
         {"variables": lifted.num_vars, "clauses": lifted.num_clauses},
         {"wall_seconds": time.perf_counter() - start})
-    if _emit_artifact(args, marker + to_dimacs(lifted), report) \
-            and not args.json:
-        print("wrote %s (%d variables, %d clauses)"
-              % (args.output, lifted.num_vars, lifted.num_clauses))
+    _finish(args, report, "wrote %s (%d variables, %d clauses)"
+            % (args.output, lifted.num_vars, lifted.num_clauses),
+            marker + to_dimacs(lifted))
     return 0
 
 
@@ -335,11 +336,12 @@ def _structure(fmt, phi, vtree_mode="right"):
 
 
 def _compile_formula(phi, fmt, vtree_mode):
-    """Final diagram, trace length, and max intermediate size."""
+    """Final diagram, trace length, and max intermediate size, each step
+    measured in fmt, the format the final diagram is written in."""
     backend, export = fold_backend(fmt)
     store = backend.store(_structure(fmt, phi, vtree_mode))
     final, trace = fold_trace(backend, store, phi.clauses)
-    sizes = [_diagram_size(backend.name, step[-1]) for step in trace]
+    sizes = [_diagram_size(fmt, export(step[-1])) for step in trace]
     return export(final), len(trace), max(sizes, default=0)
 
 
@@ -356,10 +358,9 @@ def _cmd_compile(args):
         {"variables": phi.num_vars, "clauses": phi.num_clauses,
          "size": size, "max_diagram_size": peak, "trace_steps": steps},
         {"wall_seconds": time.perf_counter() - start})
-    if _emit_artifact(args, _diagram_text(args.format, final), report) \
-            and not args.json:
-        print("wrote %s (%s, size %d, max %d)"
-              % (args.output, args.format, size, peak))
+    _finish(args, report, "wrote %s (%s, size %d, max %d)"
+            % (args.output, args.format, size, peak),
+            _diagram_text(args.format, final))
     return 0
 
 
@@ -428,12 +429,9 @@ def _cmd_refute(args):
         {"check": verdict.to_json()})
     if args.output is not None:
         _write_text(args.output + ".json", json.dumps(report, indent=2) + "\n")
-    if _emit_artifact(args, artifact, report) and not args.json:
-        if verdict.accepted:
-            print("accepted (%d lines, max diagram %d)"
-                  % (sizes["proof_lines"], sizes.get("max_diagram_size", 0)))
-        else:
-            print(rejection)
+    _finish(args, report, "accepted (%d lines, max diagram %d)"
+            % (sizes["proof_lines"], sizes.get("max_diagram_size", 0))
+            if verdict.accepted else rejection, artifact)
     return code
 
 
@@ -477,12 +475,7 @@ def _cmd_check(args):
          "cap": args.cap},
         sizes, {"wall_seconds": time.perf_counter() - start},
         {"check": verdict.to_json()})
-    if args.json:
-        print(json.dumps(report, indent=2))
-    elif verdict.accepted:
-        print("accepted")
-    else:
-        print(rejection)
+    _finish(args, report, "accepted" if verdict.accepted else rejection)
     return code
 
 
@@ -501,7 +494,7 @@ def _cmd_extract(args):
         print("rejected at line %s: %s"
               % (verdict.failing_line, verdict.reason), file=sys.stderr)
         return 1
-    diagram = extract_representation(proof, lifted, args.var_cap)
+    diagram = extract_representation(proof, lifted, args.var_cap, verdict)
     fmt = proof.system.format
     report = run_report(
         "extract",
@@ -511,10 +504,9 @@ def _cmd_extract(args):
          "clauses": lifted.base.num_clauses,
          "size": _diagram_size(fmt, diagram)},
         {"wall_seconds": time.perf_counter() - start})
-    if _emit_artifact(args, _diagram_text(fmt, diagram), report) \
-            and not args.json:
-        print("wrote %s (%s, size %d)"
-              % (args.output, fmt, _diagram_size(fmt, diagram)))
+    _finish(args, report, "wrote %s (%s, size %d)"
+            % (args.output, fmt, report["sizes"]["size"]),
+            _diagram_text(fmt, diagram))
     return 0
 
 
@@ -526,10 +518,7 @@ def _cmd_count(args):
         "count", {"diagram": args.diagram, "format": fmt},
         {"size": _diagram_size(fmt, diagram), "models": models},
         {"wall_seconds": time.perf_counter() - start})
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(models)
+    _finish(args, report, models)
     return 0
 
 
@@ -563,11 +552,8 @@ def _cmd_stats(args):
         parameters = {"proof": args.proof, "kind": kind}
     report = run_report("stats", parameters, sizes,
                         {"wall_seconds": time.perf_counter() - start})
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for key in sorted(sizes):
-            print("%s %d" % (key, sizes[key]))
+    _finish(args, report, "\n".join("%s %d" % (key, sizes[key])
+                                     for key in sorted(sizes)))
     return 0
 
 
@@ -582,35 +568,15 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="write a formula family member")
     fam = gen.add_subparsers(dest="family", required=True)
-    p = fam.add_parser("vc-path", help="vertex cover of a path")
-    p.add_argument("--l", type=int, required=True, help="edge count")
-    p = fam.add_parser("vc-tree", help="vertex cover of a complete tree")
-    p.add_argument("--h", dest="height", type=int, required=True,
-                   help="tree height")
-    p = fam.add_parser("vc-grid", help="vertex cover of a tree-path product")
-    p.add_argument("--h", dest="height", type=int, required=True,
-                   help="tree height")
-    p.add_argument("--l", type=int, required=True, help="path length")
-    p = fam.add_parser("eq", help="shifted equality formula")
-    p.add_argument("--n", type=int, required=True,
-                   help="block size, a power of two")
-    p.add_argument("--shift", type=int, default=0)
-    p = fam.add_parser("tseitin", help="parity formula over a random"
-                                       " regular graph, odd total charge")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--d", dest="degree", type=int, required=True,
-                   help="vertex degree")
-    p.add_argument("--seed", type=int, required=True)
-    p = fam.add_parser("seq", help="selector-guarded union of shifted"
-                                   " equality liftings")
-    p.add_argument("--n", type=int, required=True)
-    fam.add_parser("contra", help="the one-variable contradiction")
-    for name in ("vc-path", "vc-tree", "vc-grid", "eq", "tseitin", "seq",
-                 "contra"):
-        fam.choices[name].add_argument("-o", "--output")
-        fam.choices[name].add_argument("--json", action="store_true",
-                                       help="print a run report")
-        fam.choices[name].set_defaults(func=_cmd_gen)
+    for name, (text, flags, _) in _FAMILIES.items():
+        p = fam.add_parser(name, help=text)
+        for dest, flag, help_text, default in flags:
+            p.add_argument(flag, dest=dest, type=int, default=default,
+                           required=default is None, help=help_text)
+        p.add_argument("-o", "--output")
+        p.add_argument("--json", action="store_true",
+                       help="print a run report")
+        p.set_defaults(func=_cmd_gen)
 
     lift = sub.add_parser("lift", help="apply a clause lifting")
     lift.add_argument("kind", choices=("z", "c"),

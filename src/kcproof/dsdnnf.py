@@ -96,20 +96,22 @@ class Circuit:
 class _Analysis:
     """What one state of a circuit says about its structure.
 
-    `order` holds the reachable gate ids, ascending.  `masks` (bit v-1 for
-    variable v, 0 for unreachable gates) and `undecomposable`, the first
-    reachable and-gate whose children share a variable, are filled in on
-    first use.  `trees` maps id(vtree) to (vtree, binding per gate id,
-    first and-gate error, first or-gate error), an error being a pair
-    (gate id, message); holding the vtree keeps its id from being reused.
+    `order` holds the reachable gate ids, ascending.  `masks` (0 for
+    unreachable gates), `bits`, each variable's bit in order of first
+    appearance along `order`, so no mask is wider than the circuit, and
+    `undecomposable`, the first reachable and-gate whose children share a
+    variable, are filled in on first use.  `trees` maps id(vtree) to
+    (vtree, binding per gate id, first and-gate error, first or-gate
+    error), an error being a pair (gate id, message); holding the vtree
+    keeps its id from being reused.
     """
 
-    __slots__ = ("key", "order", "masks", "undecomposable", "trees")
+    __slots__ = ("key", "order", "masks", "bits", "undecomposable", "trees")
 
     def __init__(self, key, order):
         self.key = key
         self.order = order
-        self.masks = None
+        self.masks = self.bits = None
         self.undecomposable = None
         self.trees = {}
 
@@ -148,16 +150,17 @@ def _masked(circuit):
     if a.masks is None:
         gates = circuit.gates
         masks = [0] * len(gates)
+        bits = {}
         for i in a.order:
             gate = gates[i]
             if gate[0] == "lit":
-                masks[i] = 1 << (abs(gate[1]) - 1)
+                masks[i] = bits.setdefault(abs(gate[1]), 1 << len(bits))
             elif gate[0] == "and" or gate[0] == "or":
                 m1, m2 = masks[gate[1]], masks[gate[2]]
                 if m1 & m2 and gate[0] == "and" and a.undecomposable is None:
                     a.undecomposable = i
                 masks[i] = m1 | m2
-        a.masks = masks
+        a.masks, a.bits = masks, bits
     return a
 
 
@@ -185,8 +188,7 @@ def circuit_vars(circuit):
 def check_vtree_leaves(circuit, tree):
     """Reject any literal gate whose variable is not a leaf of the vtree.
 
-    Run it before any mask is built: a mask costs a bit per variable up to
-    the largest one, so an unchecked literal could cost unbounded memory.
+    Run it before binding, which reads every literal's leaf.
     """
     leaves = tree.variables
     for i, gate in enumerate(circuit.gates):
@@ -198,14 +200,16 @@ def check_vtree_leaves(circuit, tree):
 def _vtree_table(tree):
     """What `_bind` reads of a vtree: the variable masks of the two halves
     of each internal node, keyed by path, the path of each variable's
-    leaf, and the path of the leftmost leaf."""
+    leaf, and the path of the leftmost leaf.  A variable's bit is its rank
+    among the leaves, so no mask is wider than the vtree."""
+    rank = {v: i for i, v in enumerate(sorted(tree.variables))}
     masks = {}
     halves = {}
     leaf = {}
     # reverse preorder: both children of a node come before it
     for path, node in reversed(node_table(tree).items()):
         if node.is_leaf:
-            masks[path] = 1 << (node.var - 1)
+            masks[path] = 1 << rank[node.var]
             leaf[node.var] = path
         else:
             left, right = masks[path + "L"], masks[path + "R"]
@@ -224,7 +228,8 @@ def _bind(circuit, a, tree):
 
     An and-gate must sit on an internal node whose left and right subtrees
     cover its first and second child; an or-gate's children must mention
-    equal variable sets.
+    equal variable sets.  Masks here are in the vtree's bits: a literal's
+    is its leaf's half of the parent node.
     """
     # one table per vtree object, kept on it as Vtree.variables keeps its
     # set: an attribute, not a field, so == and hash do not see it
@@ -233,14 +238,16 @@ def _bind(circuit, a, tree):
         table = _vtree_table(tree)
         object.__setattr__(tree, "_bind_table", table)
     halves, leaf, bottom = table
-    gates, masks = circuit.gates, a.masks
+    gates = circuit.gates
+    masks = [0] * len(gates)
     binding = [None] * len(gates)
     and_error = or_error = None
     for i in a.order:
         gate = gates[i]
         kind = gate[0]
         if kind == "lit":
-            binding[i] = leaf[abs(gate[1])]
+            path = binding[i] = leaf[abs(gate[1])]
+            masks[i] = halves[path[:-1]][path[-1] == "R"] if path else 1
             continue
         if kind != "and" and kind != "or":
             binding[i] = bottom
@@ -253,6 +260,7 @@ def _bind(circuit, a, tree):
         else:
             path = _common_prefix(binding[gate[1]], binding[gate[2]])
         binding[i] = path
+        masks[i] = m1 | m2
         if kind == "and":
             if and_error is None:
                 split = halves.get(path)
@@ -280,8 +288,8 @@ def _checked(circuit, tree, check_or_sets):
     a = _analysis(circuit)
     entry = a.trees.get(id(tree))
     if entry is None:
-        check_vtree_leaves(circuit, tree)  # before any mask is built
-        entry = a.trees[id(tree)] = _bind(circuit, _masked(circuit), tree)
+        check_vtree_leaves(circuit, tree)
+        entry = a.trees[id(tree)] = _bind(circuit, a, tree)
     _, binding, and_error, or_error = entry
     if or_error is not None and check_or_sets \
             and (and_error is None or or_error[0] < and_error[0]):
@@ -513,31 +521,10 @@ def dsdnnf_count(d, over):
             counts[i] = sum(
                 counts[c] << (union & ~masks[c]).bit_count()
                 for c in (gate[1], gate[2]))
-    over_mask = 0
-    for v in over:
-        over_mask |= 1 << (v - 1)
-    root_mask = masks[d.root]
-    if root_mask & ~over_mask:
+    own, over = a.bits.keys(), set(over)
+    if not own <= over:
         raise DsdnnfError("circuit mentions variables outside the count set")
-    return counts[d.root] << (over_mask & ~root_mask).bit_count()
-
-
-def dsdnnf_count_own_vars(d):
-    """Model count over circuit_vars(d).
-
-    The variables are renamed to 1..k in increasing order first, so no
-    mask is wider than the k variables, however large their numbers.
-    """
-    rank = {v: i for i, v in enumerate(sorted(circuit_vars(d)), start=1)}
-    dense = Circuit()
-    for gate in d.gates:
-        if gate[0] == "lit":
-            v = rank.get(abs(gate[1]))
-            # a literal missing from rank is unreachable: any gate will do
-            gate = ("true",) if v is None else ("lit", v if gate[1] > 0 else -v)
-        dense.gates.append(gate)
-    dense.root = d.root
-    return dsdnnf_count(dense, rank.values())
+    return counts[d.root] << len(over) - len(own)
 
 
 def dsdnnf_is_unsat(d):
@@ -666,9 +653,8 @@ def obdd_to_dsdnnf(ref):
 
 
 def circuit_to_lines(circuit):
+    """The gate and root lines; circuit_to_text adds the vtree line."""
     lines = []
-    if circuit.vtree is not None:
-        lines.append("vtree " + vtree_to_text(circuit.vtree))
     for i, gate in enumerate(circuit.gates):
         if gate[0] == "lit":
             lines.append("g %d LIT %d" % (i, gate[1]))
@@ -737,7 +723,10 @@ def circuit_from_lines(lines):
 
 
 def circuit_to_text(circuit):
-    return "\n".join(circuit_to_lines(circuit)) + "\n"
+    lines = circuit_to_lines(circuit)
+    if circuit.vtree is not None:
+        lines.insert(0, "vtree " + vtree_to_text(circuit.vtree))
+    return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text):

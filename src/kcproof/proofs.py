@@ -466,8 +466,7 @@ class _DsdnnfBackend(_Backend):
         return d, circuit_size(d)
 
     def lines(self, d):
-        return [line for line in circuit_to_lines(d)
-                if not line.startswith("vtree ")]
+        return circuit_to_lines(d)
 
     def store_of(self, d):
         return d.vtree

@@ -464,7 +464,7 @@ def _case_assignment(lay, base, missing):
     return a
 
 
-def extract_representation(P, Z, var_cap=22):
+def extract_representation(P, Z, var_cap=22, verdict=None):
     """Diagram equivalent to Z.base, extracted from a weakening-free
     accepted refutation P of the chain lifting Z.
 
@@ -476,12 +476,15 @@ def extract_representation(P, Z, var_cap=22):
     conjoined with directly built diagrams for the base clauses the
     assignments satisfied, give the result.  The satisfied clauses
     mention few variables when clauses are short and variable occurrence
-    is bounded; var_cap cuts the construction off beyond that.
+    is bounded; var_cap cuts the construction off beyond that.  A caller
+    that has checked P against Z.result passes the verdict, and P is not
+    checked again.
     """
     lay = _chain_layout(Z)
     if "weaken" in P.system.rules:
         raise RefuteError("extraction needs a weakening-free proof")
-    verdict = check_proof(Z.result, P)
+    if verdict is None:
+        verdict = check_proof(Z.result, P)
     if not verdict.accepted:
         raise RefuteError("proof rejected: %s" % verdict.reason)
     session = _Session(P, 10 ** 7)
