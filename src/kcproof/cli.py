@@ -12,8 +12,9 @@ import json
 import sys
 import time
 
-from kcproof.cnf import (CapExceeded, CnfError, cnf, parse_dimacs,
-                         primal_graph, to_dimacs, tree_decomposition)
+from kcproof.cnf import (DEFAULT_CHECK_CAP, CapExceeded, CnfError, cnf,
+                         parse_dimacs, primal_graph, to_dimacs,
+                         tree_decomposition)
 from kcproof.structure import (StructureError, right_linear_vtree,
                                vtree_from_decomposition)
 from kcproof.obdd import ObddError, obdd_size, obdd_to_text, parse_obdd
@@ -32,8 +33,6 @@ from kcproof.refute import (RefuteError, compilation_to_refutation,
                             resolution_refute_lifted, treewidth_refute)
 from kcproof.resolution import (check_resolution, parse_resolution,
                                 resolution_to_text)
-
-DEFAULT_CHECK_CAP = 10 ** 7
 
 REPORT_SCHEMA_ID = "kcproof-run-report/1"
 
@@ -494,7 +493,8 @@ def _cmd_extract(args):
         print("rejected at line %s: %s"
               % (verdict.failing_line, verdict.reason), file=sys.stderr)
         return 1
-    diagram = extract_representation(proof, lifted, args.var_cap, verdict)
+    diagram = extract_representation(proof, lifted, args.var_cap, verdict,
+                                     args.cap)
     fmt = proof.system.format
     report = run_report(
         "extract",

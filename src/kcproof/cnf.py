@@ -16,6 +16,7 @@ Clause = Tuple[int, ...]
 Assignment = Dict[int, int]  # variable -> 0 or 1
 
 DEFAULT_BRUTE_FORCE_CAP = 24
+DEFAULT_CHECK_CAP = 10 ** 7  # gate pairs a proof check tests at most
 
 
 class CnfError(Exception):
@@ -23,7 +24,8 @@ class CnfError(Exception):
 
 
 class CapExceeded(CnfError):
-    """A brute-force operation was asked to enumerate too many assignments."""
+    """More work than a cap allows: assignments to enumerate, gate pairs
+    to test for determinism, or variables of an extracted representation."""
 
 
 def mk_clause(literals: Iterable[int]) -> Clause:

@@ -21,7 +21,7 @@ this module imports neither.
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from kcproof.cnf import CapExceeded, CnfError
+from kcproof.cnf import DEFAULT_CHECK_CAP, CapExceeded, CnfError
 from kcproof.structure import (
     StructureError,
     Vtree,
@@ -890,7 +890,7 @@ def _check_line(session, phi, line, track):
     return "unknown rule %r" % line.rule
 
 
-def check_proof(phi, proof, cap=10 ** 7):
+def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     """Replay every line of a refutation of phi and report a verdict.
 
     Acceptance means each line is a sound application of a rule the

@@ -23,8 +23,8 @@ output and stats sidecars are the command line's business.
 
 from dataclasses import replace
 
-from .cnf import (CapExceeded, TreeDecomposition, primal_graph,
-                  restriction_map, tree_decomposition)
+from .cnf import (DEFAULT_CHECK_CAP, CapExceeded, TreeDecomposition,
+                  primal_graph, restriction_map, tree_decomposition)
 from .structure import (StructureError, right_linear_vtree,
                         vtree_from_decomposition, vtree_node)
 from .obdd import ObddError, ObddStore
@@ -464,7 +464,8 @@ def _case_assignment(lay, base, missing):
     return a
 
 
-def extract_representation(P, Z, var_cap=22, verdict=None):
+def extract_representation(P, Z, var_cap=22, verdict=None,
+                           cap=DEFAULT_CHECK_CAP):
     """Diagram equivalent to Z.base, extracted from a weakening-free
     accepted refutation P of the chain lifting Z.
 
@@ -478,16 +479,16 @@ def extract_representation(P, Z, var_cap=22, verdict=None):
     mention few variables when clauses are short and variable occurrence
     is bounded; var_cap cuts the construction off beyond that.  A caller
     that has checked P against Z.result passes the verdict, and P is not
-    checked again.
+    checked again; cap bounds that check and the lines read after it.
     """
     lay = _chain_layout(Z)
     if "weaken" in P.system.rules:
         raise RefuteError("extraction needs a weakening-free proof")
     if verdict is None:
-        verdict = check_proof(Z.result, P)
+        verdict = check_proof(Z.result, P, cap)
     if not verdict.accepted:
         raise RefuteError("proof rejected: %s" % verdict.reason)
-    session = _Session(P, 10 ** 7)
+    session = _Session(P, cap)
     backend = session.backend
 
     number = len(P.lines)

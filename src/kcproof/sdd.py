@@ -105,27 +105,23 @@ class SddStore:
         return self.atom(("lit", path, lit))
 
     def true_at(self, path):
-        found = self._true_at.get(path)
-        if found is None:
-            node = self.paths[path]
-            if node.is_leaf:
-                found = self.atom(("true", path))
-            else:
-                found = self.mk_dec(path, (
-                    (self.true_at(path + "L"), self.true_at(path + "R")),))
-            self._true_at[path] = found
-        return found
+        return self._constant_at(path, True)
 
     def false_at(self, path):
-        found = self._false_at.get(path)
+        return self._constant_at(path, False)
+
+    def _constant_at(self, path, value):
+        """true_at or false_at; inside, the element (true, same constant)."""
+        memo = self._true_at if value else self._false_at
+        found = memo.get(path)
         if found is None:
-            node = self.paths[path]
-            if node.is_leaf:
-                found = self.atom(("false", path))
+            if self.paths[path].is_leaf:
+                found = self.atom(("true" if value else "false", path))
             else:
                 found = self.mk_dec(path, (
-                    (self.true_at(path + "L"), self.false_at(path + "R")),))
-            self._false_at[path] = found
+                    (self._constant_at(path + "L", True),
+                     self._constant_at(path + "R", value)),))
+            memo[path] = found
         return found
 
     def mk_dec(self, path, elements):
@@ -244,6 +240,26 @@ class SddStore:
         self.cache[key] = result
         return result
 
+    def embed(self, path, literal):
+        """sdd_literal's node at a path whose variables hold the literal."""
+        found = self._embedded.get((path, literal))
+        if found is not None:
+            return found
+        children = self.children.get(path)
+        if children is None:
+            found = self.literal(literal)
+        else:
+            left, right = children
+            if abs(literal) in self.vars_at[left]:
+                found = self.mk_dec(path, (
+                    (self.embed(left, literal), self.true_at(right)),
+                    (self.embed(left, -literal), self.false_at(right))))
+            else:
+                found = self.mk_dec(path, (
+                    (self.true_at(left), self.embed(right, literal)),))
+        self._embedded[(path, literal)] = found
+        return found
+
     def _leaf_values(self, u):
         kind = self.nodes[u][0]
         if kind == "true":
@@ -271,12 +287,11 @@ class SddStore:
         if found is not None:
             return found
         descriptor = self.nodes[u]
+        path = descriptor[1]
         if descriptor[0] == "dec":
-            path = descriptor[1]
             result = self.mk_dec(path, tuple(
                 (prime, self.negate(sub)) for prime, sub in descriptor[2]))
         else:
-            path = descriptor[1]
             result = self._values_atom({0, 1} - self._leaf_values(u), path)
         self.cache[key] = result
         self.cache[("not", result)] = u
@@ -288,48 +303,48 @@ class SddStore:
         Only nodes bound to a vtree node with an assigned variable are
         visited: any other node is its own restriction, and so is a
         constant and a node whose elements all are."""
-        memo = {}
-        nodes, vars_at, children = self.nodes, self.vars_at, self.children
         assigned = frozenset(assignment)
-
-        def rec(t):
-            found = memo.get(t)
-            if found is not None:
-                return found
-            descriptor = nodes[t]
-            if descriptor[0] == "dec":
-                path = descriptor[1]
-                left, right = children[path]
-                on_left = not vars_at[left].isdisjoint(assigned)
-                on_right = not vars_at[right].isdisjoint(assigned)
-                false_left = self.false_at(left)
-                elements = []
-                for prime, sub in descriptor[2]:
-                    if on_left:
-                        prime = rec(prime)
-                        if prime == false_left:
-                            continue
-                    elements.append((prime, rec(sub) if on_right else sub))
-                # restrictions keep their paths, so the elements are
-                # normalized, and t's own elements would only find t again
-                result = t if tuple(elements) == descriptor[2] \
-                    else self._compress(path, elements)
-            elif descriptor[0] == "lit":
-                satisfied = assignment[abs(descriptor[2])] == \
-                    (1 if descriptor[2] > 0 else 0)
-                result = self.atom(("true" if satisfied else "false",
-                                    descriptor[1]))
-            else:
-                result = t
-            memo[t] = result
-            return result
-
         path = self.node_path[u]
-        if vars_at[path].isdisjoint(assigned) \
-                or u == self._true_at.get(path) \
-                or u == self._false_at.get(path):
+        if self.vars_at[path].isdisjoint(assigned) \
+                or u in (self._true_at.get(path), self._false_at.get(path)):
             return u
-        return rec(u)
+        return self._restrict(u, assignment, assigned, {})
+
+    def _restrict(self, t, assignment, assigned, memo):
+        """restrict below its entry checks; memo maps the nodes done."""
+        found = memo.get(t)
+        if found is not None:
+            return found
+        descriptor = self.nodes[t]
+        if descriptor[0] == "dec":
+            path = descriptor[1]
+            left, right = self.children[path]
+            on_left = not self.vars_at[left].isdisjoint(assigned)
+            on_right = not self.vars_at[right].isdisjoint(assigned)
+            # t is a decision node, so mk_dec has made false_at(left)
+            false_left = self._false_at[left]
+            elements = []
+            for prime, sub in descriptor[2]:
+                if on_left:
+                    prime = self._restrict(prime, assignment, assigned, memo)
+                    if prime == false_left:
+                        continue
+                if on_right:
+                    sub = self._restrict(sub, assignment, assigned, memo)
+                elements.append((prime, sub))
+            # restrictions keep their paths, so the elements are
+            # normalized, and t's own elements would only find t again
+            result = t if tuple(elements) == descriptor[2] \
+                else self._compress(path, elements)
+        elif descriptor[0] == "lit":
+            satisfied = assignment[abs(descriptor[2])] == \
+                (1 if descriptor[2] > 0 else 0)
+            result = self.atom(("true" if satisfied else "false",
+                                descriptor[1]))
+        else:
+            result = t
+        memo[t] = result
+        return result
 
     def count(self, u):
         """Models over the variables of the vtree node u is bound to."""
@@ -405,31 +420,9 @@ def sdd_const(store, value):
 
 def sdd_literal(store, lit):
     """The single-literal function, normalized at the root."""
-
-    memo = store._embedded
-
-    def embed(path, literal):
-        found = memo.get((path, literal))
-        if found is not None:
-            return found
-        children = store.children.get(path)
-        if children is None:
-            found = store.literal(literal)
-        else:
-            left, right = children
-            if abs(literal) in store.vars_at[left]:
-                found = store.mk_dec(path, (
-                    (embed(left, literal), store.true_at(right)),
-                    (embed(left, -literal), store.false_at(right))))
-            else:
-                found = store.mk_dec(path, (
-                    (store.true_at(left), embed(right, literal)),))
-        memo[(path, literal)] = found
-        return found
-
     if abs(lit) not in store.vtree.variables:
         raise SddError("variable %d not in vtree" % abs(lit))
-    return SddRef(store, embed("", lit))
+    return SddRef(store, store.embed("", lit))
 
 
 def sdd_from_clause(store, clause):
@@ -531,28 +524,27 @@ def rebind(target, d):
         return sdd_apply("or",
                          sdd_apply("and", sdd_literal(target, -x), low),
                          sdd_apply("and", sdd_literal(target, x), high))
-    store = d.store
-    memo = {}
+    return SddRef(target, _rebuild(d.store, target, d.node, {}))
 
-    def rec(t):
-        if t in memo:
-            return memo[t]
-        descriptor = store.nodes[t]
-        if descriptor[0] == "lit":
-            result = sdd_literal(target, descriptor[2]).node
-        elif descriptor[0] == "true":
-            result = target.true_at("")
-        elif descriptor[0] == "false":
-            result = target.false_at("")
-        else:
-            result = target.false_at("")
-            for prime, sub in descriptor[2]:
-                piece = target.apply("and", rec(prime), rec(sub))
-                result = target.apply("or", result, piece)
-        memo[t] = result
-        return result
 
-    return SddRef(target, rec(d.node))
+def _rebuild(store, target, t, memo):
+    """rebind's node-by-node rebuild of t; memo maps the nodes done."""
+    found = memo.get(t)
+    if found is not None:
+        return found
+    descriptor = store.nodes[t]
+    if descriptor[0] == "lit":
+        result = sdd_literal(target, descriptor[2]).node
+    elif descriptor[0] == "true":
+        result = target.true_at("")
+    else:
+        result = target.false_at("")
+        for prime, sub in descriptor[2] if descriptor[0] == "dec" else ():
+            piece = target.apply("and", _rebuild(store, target, prime, memo),
+                                 _rebuild(store, target, sub, memo))
+            result = target.apply("or", result, piece)
+    memo[t] = result
+    return result
 
 
 def _moved_leaf(source, target):
@@ -562,9 +554,8 @@ def _moved_leaf(source, target):
     if source.vtree.variables != target.vtree.variables:
         return None
     for var, path in source.leaf_path.items():
-        if target.leaf_path[var] != path and \
-                remove_leaf(source.vtree, var) == remove_leaf(target.vtree,
-                                                              var):
+        if target.leaf_path[var] != path and remove_leaf(
+                source.vtree, var) == remove_leaf(target.vtree, var):
             return var
     return None
 
@@ -582,16 +573,7 @@ def insert_leaf(target, d, var):
     over the reachable ids maps every child before its parents.
     """
     store = d.store
-    try:
-        expected = remove_leaf(target.vtree, var)
-    except StructureError as exc:
-        raise SddError(str(exc))
-    if store.vtree != expected:
-        raise SddError("source vtree is not the target vtree without x%d"
-                       % var)
-    leaf = target.leaf_path[var]
-    parent, var_left = leaf[:-1], leaf[-1] == "L"
-    sibling = parent + ("R" if var_left else "L")
+    leaf, parent, sibling, var_left = _leaf_frame(target, store, var)
     true_x, false_x = target.true_at(leaf), target.false_at(leaf)
     mapped = {}
     for t in sorted(store.reachable(d.node)):
@@ -599,12 +581,7 @@ def insert_leaf(target, d, var):
         path = descriptor[1]
         if path.startswith(parent):
             path = sibling + path[len(parent):]
-        if descriptor[0] == "dec":
-            node = target.mk_dec(path, tuple(
-                (mapped[prime], mapped[sub])
-                for prime, sub in descriptor[2]))
-        else:
-            node = target.atom((descriptor[0], path) + descriptor[2:])
+        node = _copy(target, descriptor, path, mapped)
         if path == sibling:
             node = target.mk_dec(parent, ((true_x, node),) if var_left else
                                  ((node, true_x),
@@ -627,16 +604,7 @@ def drop_leaf(target, d, var):
     every child before its parents.
     """
     store = d.store
-    try:
-        expected = remove_leaf(store.vtree, var)
-    except StructureError as exc:
-        raise SddError(str(exc))
-    if target.vtree != expected:
-        raise SddError("target vtree is not the source vtree without x%d"
-                       % var)
-    leaf = store.leaf_path[var]
-    parent, var_left = leaf[:-1], leaf[-1] == "L"
-    sibling = parent + ("R" if var_left else "L")
+    leaf, parent, sibling, var_left = _leaf_frame(store, target, var)
     mapped = {}
     for t in sorted(store.reachable(d.node)):
         descriptor = store.nodes[t]
@@ -660,13 +628,30 @@ def drop_leaf(target, d, var):
             continue
         if path.startswith(sibling):
             path = parent + path[len(sibling):]
-        if descriptor[0] == "dec":
-            mapped[t] = target.mk_dec(path, tuple(
-                (mapped[prime], mapped[sub])
-                for prime, sub in descriptor[2]))
-        else:
-            mapped[t] = target.atom((descriptor[0], path) + descriptor[2:])
+        mapped[t] = _copy(target, descriptor, path, mapped)
     return SddRef(target, mapped[d.node])
+
+
+def _leaf_frame(full, reduced, var):
+    """Paths of var's leaf, parent and sibling in full's vtree, and whether
+    the leaf is a left child; reduced's vtree must be full's without it."""
+    try:
+        expected = remove_leaf(full.vtree, var)
+    except StructureError as exc:
+        raise SddError(str(exc))
+    if reduced.vtree != expected:
+        raise SddError("one vtree is not the other without x%d" % var)
+    leaf = full.leaf_path[var]
+    parent, var_left = leaf[:-1], leaf[-1] == "L"
+    return leaf, parent, parent + ("R" if var_left else "L"), var_left
+
+
+def _copy(target, descriptor, path, mapped):
+    """descriptor's node at path in target, its children read in mapped."""
+    if descriptor[0] == "dec":
+        return target.mk_dec(path, tuple(
+            (mapped[prime], mapped[sub]) for prime, sub in descriptor[2]))
+    return target.atom((descriptor[0], path) + descriptor[2:])
 
 
 def sdd_truth_mask(d, num_vars):

@@ -204,35 +204,32 @@ def vtree_to_text(tree: Vtree) -> str:
 
 
 def parse_vtree(text: str) -> Vtree:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse_node() -> Vtree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise StructureError("unexpected end of vtree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            left = parse_node()
-            right = parse_node()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise StructureError("expected ')' in vtree text")
-            pos += 1
-            return vtree_node(left, right)
-        if tok == ")":
-            raise StructureError("unexpected ')' in vtree text")
-        if not tok.startswith("x"):
-            raise StructureError("bad leaf token %r" % tok)
-        try:
-            return vtree_leaf(int(tok[1:]))
-        except ValueError:
-            raise StructureError("bad leaf token %r" % tok)
-
-    tree = parse_node()
-    if pos != len(tokens):
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
+    tree = _parse_node(tokens)
+    if next(tokens, None) is not None:
         raise StructureError("trailing tokens in vtree text")
     return tree
+
+
+def _parse_node(tokens) -> Vtree:
+    """The vtree whose text starts at the token iterator, consumed."""
+    tok = next(tokens, None)
+    if tok is None:
+        raise StructureError("unexpected end of vtree text")
+    if tok == "(":
+        left = _parse_node(tokens)
+        right = _parse_node(tokens)
+        if next(tokens, None) != ")":
+            raise StructureError("expected ')' in vtree text")
+        return vtree_node(left, right)
+    if tok == ")":
+        raise StructureError("unexpected ')' in vtree text")
+    if not tok.startswith("x"):
+        raise StructureError("bad leaf token %r" % tok)
+    try:
+        return vtree_leaf(int(tok[1:]))
+    except ValueError:
+        raise StructureError("bad leaf token %r" % tok)
 
 
 def order_to_text(order: VarOrder) -> str:
@@ -265,33 +262,33 @@ def vtree_from_decomposition(td: TreeDecomposition, phi: CnfFormula) -> Vtree:
     """
     if not validate_decomposition(primal_graph(phi), td):
         raise StructureError("decomposition does not match the formula")
-    n_bags = len(td.bags)
-    adj: List[List[int]] = [[] for _ in range(n_bags)]
+    adj: List[List[int]] = [[] for _ in td.bags]
     for a, b in td.tree_edges:
         adj[a].append(b)
         adj[b].append(a)
 
-    assigned = set()
-
-    def build(bag_id: int, parent: int) -> Optional[Vtree]:
-        fresh = [v for v in td.bags[bag_id] if v not in assigned]
-        assigned.update(fresh)
-        pieces = [vtree_leaf(v + 1) for v in sorted(fresh)]
-        for child in sorted(adj[bag_id]):
-            if child != parent:
-                sub = build(child, bag_id)
-                if sub is not None:
-                    pieces.append(sub)
-        if not pieces:
-            return None
-        tree = pieces[-1]
-        for piece in reversed(pieces[:-1]):
-            tree = vtree_node(piece, tree)
-        return tree
-
-    tree = build(0, -1)
+    tree = _bag_vtree(td, adj, set(), 0, -1)
     if tree is None:
         raise StructureError("decomposition yields no variables")
+    return tree
+
+
+def _bag_vtree(td, adj, assigned, bag_id, parent) -> Optional[Vtree]:
+    """The leaves of bag_id's variables not yet assigned, which it adds to
+    assigned, folded above its child bags' subtrees, or None."""
+    fresh = [v for v in td.bags[bag_id] if v not in assigned]
+    assigned.update(fresh)
+    pieces = [vtree_leaf(v + 1) for v in sorted(fresh)]
+    for child in sorted(adj[bag_id]):
+        if child != parent:
+            sub = _bag_vtree(td, adj, assigned, child, bag_id)
+            if sub is not None:
+                pieces.append(sub)
+    if not pieces:
+        return None
+    tree = pieces[-1]
+    for piece in reversed(pieces[:-1]):
+        tree = vtree_node(piece, tree)
     return tree
 
 
