@@ -493,8 +493,10 @@ def _rebuild(out, d, i, memo, assignment=()):
         r = out.mk_true() if satisfied else out.mk_false()
     elif gate[0] == "lit":
         r = out.mk_lit(gate[1])
+    elif gate[0] == "true":
+        r = out.mk_true()
     else:
-        r = out.mk_true() if gate[0] == "true" else out.mk_false()
+        r = out.mk_false()
     memo[i] = r
     return r
 
@@ -615,13 +617,15 @@ def _convert(store, out, node, memo):
     elif descriptor[0] == "true":
         v = store.paths[descriptor[1]].var
         r = out.mk_or(out.mk_lit(v), out.mk_lit(-v))
+    elif descriptor[0] == "false":
+        r = out.mk_false()
     else:
         r = out.mk_false()
-        for prime, sub in descriptor[2] if descriptor[0] == "dec" else ():
+        for prime, sub in descriptor[2]:
             sc = _convert(store, out, sub, memo)
-            if out.gates[sc][0] != "false":
-                r = out.mk_or(r, out.mk_and(_convert(store, out, prime, memo),
-                                            sc))
+            if out.gates[sc][0] == "false":
+                continue
+            r = out.mk_or(r, out.mk_and(_convert(store, out, prime, memo), sc))
     memo[node] = r
     return r
 

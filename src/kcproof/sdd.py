@@ -287,11 +287,12 @@ class SddStore:
         if found is not None:
             return found
         descriptor = self.nodes[u]
-        path = descriptor[1]
         if descriptor[0] == "dec":
+            path = descriptor[1]
             result = self.mk_dec(path, tuple(
                 (prime, self.negate(sub)) for prime, sub in descriptor[2]))
         else:
+            path = descriptor[1]
             result = self._values_atom({0, 1} - self._leaf_values(u), path)
         self.cache[key] = result
         self.cache[("not", result)] = u
@@ -306,7 +307,8 @@ class SddStore:
         assigned = frozenset(assignment)
         path = self.node_path[u]
         if self.vars_at[path].isdisjoint(assigned) \
-                or u in (self._true_at.get(path), self._false_at.get(path)):
+                or u == self._true_at.get(path) \
+                or u == self._false_at.get(path):
             return u
         return self._restrict(u, assignment, assigned, {})
 
@@ -537,9 +539,11 @@ def _rebuild(store, target, t, memo):
         result = sdd_literal(target, descriptor[2]).node
     elif descriptor[0] == "true":
         result = target.true_at("")
+    elif descriptor[0] == "false":
+        result = target.false_at("")
     else:
         result = target.false_at("")
-        for prime, sub in descriptor[2] if descriptor[0] == "dec" else ():
+        for prime, sub in descriptor[2]:
             piece = target.apply("and", _rebuild(store, target, prime, memo),
                                  _rebuild(store, target, sub, memo))
             result = target.apply("or", result, piece)
@@ -554,8 +558,9 @@ def _moved_leaf(source, target):
     if source.vtree.variables != target.vtree.variables:
         return None
     for var, path in source.leaf_path.items():
-        if target.leaf_path[var] != path and remove_leaf(
-                source.vtree, var) == remove_leaf(target.vtree, var):
+        if target.leaf_path[var] != path and \
+                remove_leaf(source.vtree, var) == remove_leaf(target.vtree,
+                                                              var):
             return var
     return None
 
@@ -573,7 +578,8 @@ def insert_leaf(target, d, var):
     over the reachable ids maps every child before its parents.
     """
     store = d.store
-    leaf, parent, sibling, var_left = _leaf_frame(target, store, var)
+    leaf, parent, sibling, var_left = _leaf_frame(target, store, var,
+                                                  "target", "source")
     true_x, false_x = target.true_at(leaf), target.false_at(leaf)
     mapped = {}
     for t in sorted(store.reachable(d.node)):
@@ -604,7 +610,8 @@ def drop_leaf(target, d, var):
     every child before its parents.
     """
     store = d.store
-    leaf, parent, sibling, var_left = _leaf_frame(store, target, var)
+    leaf, parent, sibling, var_left = _leaf_frame(store, target, var,
+                                                  "source", "target")
     mapped = {}
     for t in sorted(store.reachable(d.node)):
         descriptor = store.nodes[t]
@@ -632,15 +639,17 @@ def drop_leaf(target, d, var):
     return SddRef(target, mapped[d.node])
 
 
-def _leaf_frame(full, reduced, var):
+def _leaf_frame(full, reduced, var, full_role, reduced_role):
     """Paths of var's leaf, parent and sibling in full's vtree, and whether
-    the leaf is a left child; reduced's vtree must be full's without it."""
+    the leaf is a left child; reduced's vtree must be full's without it.
+    The roles name the two stores in the error."""
     try:
         expected = remove_leaf(full.vtree, var)
     except StructureError as exc:
         raise SddError(str(exc))
     if reduced.vtree != expected:
-        raise SddError("one vtree is not the other without x%d" % var)
+        raise SddError("%s vtree is not the %s vtree without x%d"
+                       % (reduced_role, full_role, var))
     leaf = full.leaf_path[var]
     parent, var_left = leaf[:-1], leaf[-1] == "L"
     return leaf, parent, parent + ("R" if var_left else "L"), var_left

@@ -262,7 +262,8 @@ def vtree_from_decomposition(td: TreeDecomposition, phi: CnfFormula) -> Vtree:
     """
     if not validate_decomposition(primal_graph(phi), td):
         raise StructureError("decomposition does not match the formula")
-    adj: List[List[int]] = [[] for _ in td.bags]
+    n_bags = len(td.bags)
+    adj: List[List[int]] = [[] for _ in range(n_bags)]
     for a, b in td.tree_edges:
         adj[a].append(b)
         adj[b].append(a)

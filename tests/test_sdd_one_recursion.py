@@ -13,11 +13,14 @@ import hashlib
 import io
 import types
 
+import pytest
+
 from kcproof import cli, dsdnnf, proofs, sdd, structure
 from kcproof.cnf import restrict_cnf
 from kcproof.proofs import check_proof, proof_to_text
 from kcproof.refute import naive_conjoin_refute, restrict_proof
-from kcproof.sdd import SddStore
+from kcproof.sdd import (SddError, SddStore, drop_leaf, insert_leaf,
+                         sdd_literal)
 from kcproof.structure import right_linear_vtree, vtree_leaf, vtree_node
 from kcproof.zoo import lift_Z, path, vc_formula
 
@@ -63,6 +66,18 @@ def test_constants_are_built_true_first():
     assert store.true_at("L") == 3 and store.false_at("L") == 6
 
 
+def test_leaf_frame_errors_name_the_wrong_vtree():
+    full = SddStore(vtree_node(vtree_node(vtree_leaf(1), vtree_leaf(4)),
+                               vtree_leaf(2)))
+    wrong = SddStore(vtree_node(vtree_leaf(2), vtree_leaf(1)))
+    with pytest.raises(SddError, match="^source vtree is not the target "
+                                       "vtree without x4$"):
+        insert_leaf(full, sdd_literal(wrong, 1), 4)
+    with pytest.raises(SddError, match="^target vtree is not the source "
+                                       "vtree without x4$"):
+        drop_leaf(wrong, sdd_literal(full, 1), 4)
+
+
 def functions(module):
     """The functions and methods the module defines."""
     for value in vars(module).values():
@@ -73,17 +88,22 @@ def functions(module):
                     and f.__module__ == module.__name__)
 
 
-def nested_codes(code):
+def nested_codes(code, qualname):
+    """(qualified name, code) of each function nested in code, at any
+    depth; the names are built here, as Python 3.10 code objects have no
+    co_qualname."""
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            yield const
-            yield from nested_codes(const)
+            name = qualname + ".<locals>." + const.co_name
+            yield name, const
+            yield from nested_codes(const, name)
 
 
 def test_no_other_nested_function_calls_itself():
     for module, allowed in SELF_CALLING.items():
-        found = {code.co_qualname for function in functions(module)
-                 for code in nested_codes(function.__code__)
+        found = {name for function in functions(module)
+                 for name, code in nested_codes(function.__code__,
+                                                function.__qualname__)
                  if code.co_name in code.co_freevars}
         assert found == allowed, module.__name__
 
