@@ -487,12 +487,12 @@ def _cmd_extract(args):
         raise UsageError("extraction needs a diagram proof")
     proof = parse_proof(proof_text)
     verdict = check_proof(phi, proof, args.cap)
-    if not verdict.accepted:
-        if verdict.resource:
-            raise CapExceeded(verdict.reason)
-        print("rejected at line %s: %s"
-              % (verdict.failing_line, verdict.reason), file=sys.stderr)
-        return 1
+    found, rejection, code = _outcome(verdict)
+    if verdict.resource:
+        raise CapExceeded(verdict.reason)
+    if code:
+        print(rejection, file=sys.stderr)
+        return code
     diagram = extract_representation(proof, lifted, args.var_cap, verdict,
                                      args.cap)
     fmt = proof.system.format
@@ -502,7 +502,7 @@ def _cmd_extract(args):
          "var_cap": args.var_cap, "cap": args.cap},
         {"variables": lifted.base.num_vars,
          "clauses": lifted.base.num_clauses,
-         "size": _diagram_size(fmt, diagram)},
+         "size": _diagram_size(fmt, diagram), **found},
         {"wall_seconds": time.perf_counter() - start})
     _finish(args, report, "wrote %s (%s, size %d)"
             % (args.output, fmt, report["sizes"]["size"]),

@@ -249,6 +249,11 @@ class _Backend:
         """The structure after a move, or None and a rejection reason."""
         return move(structure, var, w_path, direction), None
 
+    def without(self, tree, variables):
+        for var in sorted(variables & tree.variables):
+            tree = remove_leaf(tree, var)
+        return tree
+
     def init_ok(self, store, d, clause):
         return self.equal(d, self.clause(store, clause))
 
@@ -435,11 +440,6 @@ class _SddBackend(_Backend):
     def is_false(self, d):
         return sdd_is_false(d)
 
-    def without(self, tree, variables):
-        for var in sorted(variables & tree.variables):
-            tree = remove_leaf(tree, var)
-        return tree
-
     def drop(self, store, d, var):
         return drop_leaf(store, d, var)
 
@@ -486,7 +486,11 @@ class _DsdnnfBackend(_Backend):
         return dsdnnf_conjoin(a, b, tree)
 
     def rebase(self, tree, d):
-        return d
+        """A copy of d on tree, which it must respect."""
+        out = dsdnnf_restrict(d, {})
+        out.vtree = tree
+        validate_structured(out, tree)
+        return out
 
     def equal(self, a, b):
         return dsdnnf_equiv(a, b)
@@ -520,10 +524,6 @@ class _DsdnnfBackend(_Backend):
 
     def is_false(self, d):
         return d.gates[d.root][0] == "false"
-
-    def without(self, tree, variables):
-        # smoothing gadgets mention every leaf, so the vtree stays whole
-        return tree
 
     def drop(self, tree, d, var):
         # a circuit that does not mention var respects every vtree that

@@ -155,17 +155,20 @@ class _ChainLayout:
     def imp_index(self, i, t):
         return self.starts[i - 1] + t
 
-    def kind(self, index):
+    def block(self, index):
+        """(ell, t): the clause's block ell, 0 for the chain start and m+1
+        for its end, and for an implication clause the position t in
+        C_ell | y_ell of the literal it negates, else None."""
         if index < self.m:
-            return ("aug", index + 1)
+            return index + 1, None
         for i in range(1, self.m + 1):
             offset = index - self.starts[i - 1]
             if 0 <= offset <= self.sizes[i - 1]:
-                return ("imp", i, offset)
+                return i, offset
         if index == self.z1_index:
-            return ("first",)
+            return 0, None
         if index == self.last_index:
-            return ("last",)
+            return self.m + 1, None
         raise RefuteError("clause index %d outside the lifting" % index)
 
 
@@ -400,67 +403,28 @@ def track_clause_sets(phi, proof):
         sets[line.n] = _clause_set(sets, line)
     return sets
 
-def _neighbour_controls(lay, base, ell, a, include_self):
-    core = {abs(lit) for lit in base.clauses[ell - 1]}
-    for b in range(1, lay.m + 1):
-        if b == ell:
-            shares = include_self
-        else:
-            shares = any(abs(lit) in core for lit in base.clauses[b - 1])
-        a[lay.y(b)] = 1 if shares else 0
+def _case_assignment(lay, clauses, missing):
+    """Partial assignment clearing one side of the split, by the block ell
+    of that side's missing clause; clauses are the lifting's.
 
-
-def _chain_split(lay, ell, a):
-    for b in range(1, lay.m + 2):
-        a[lay.z(b)] = 1 if b <= ell else 0
-
-
-def _case_assignment(lay, base, missing):
-    """Partial assignment clearing one side of the split, by the kind of
-    that side's missing clause.
-
-    Every control and chain variable is assigned; base variables only
-    when the missing clause pins down a base clause.  The chain is cut
-    right after the missing clause's block, so every implication clause
-    present on that side comes out satisfied and every surviving
-    augmented clause restricts to its full base clause.  When the
-    missing clause is a control implication the printed construction
-    (all controls low) would shave the block's base literals down to
-    sub-clauses; raising the block's and its neighbours' controls, as in
-    the satisfiability argument for dropping that clause, avoids this.
+    The chain is cut right after block ell, so every implication clause
+    left on that side is satisfied.  C_ell | y_ell is falsified, except
+    for the literal a missing implication clause negates; the controls
+    of the blocks sharing a variable with C_ell are raised, so that every
+    surviving augmented clause restricts to its full base clause.  The
+    chain start (block 0) and end (block m+1) assign no base variable.
     """
-    a = {}
-    kind = lay.kind(missing)
-    if kind[0] == "aug":
-        ell = kind[1]
-        for lit in base.clauses[ell - 1]:
-            a[abs(lit)] = 0 if lit > 0 else 1
-        _neighbour_controls(lay, base, ell, a, include_self=False)
-        _chain_split(lay, ell, a)
-    elif kind[0] == "imp":
-        ell, t = kind[1], kind[2]
-        clause = base.clauses[ell - 1]
-        if t < len(clause):
-            for lit in clause:
-                a[abs(lit)] = 0 if lit > 0 else 1
-            lam = clause[t]
-            a[abs(lam)] = 1 if lam > 0 else 0
-            _neighbour_controls(lay, base, ell, a, include_self=False)
-        else:
-            for lit in clause:
-                a[abs(lit)] = 0 if lit > 0 else 1
-            _neighbour_controls(lay, base, ell, a, include_self=True)
-        _chain_split(lay, ell, a)
-    elif kind[0] == "first":
-        for b in range(1, lay.m + 1):
-            a[lay.y(b)] = 0
-        for b in range(1, lay.m + 2):
-            a[lay.z(b)] = 0
-    else:
-        for b in range(1, lay.m + 1):
-            a[lay.y(b)] = 0
-        for b in range(1, lay.m + 2):
-            a[lay.z(b)] = 1
+    ell, t = lay.block(missing)
+    clause = clauses[ell - 1] if 1 <= ell <= lay.m else ()
+    core = {abs(lit) for lit in clause}
+    a = {lay.y(b): int(any(abs(lit) in core for lit in clauses[b - 1]))
+         for b in range(1, lay.m + 1)}
+    for lit in clause:
+        a[abs(lit)] = int(lit < 0)
+    if t is not None:
+        a[abs(clause[t])] = int(clause[t] > 0)
+    for b in range(1, lay.m + 2):
+        a[lay.z(b)] = int(b <= ell)
     return a
 
 
@@ -513,7 +477,11 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
 
     sets = track_clause_sets(Z.result, P)
     total = Z.result.num_clauses
-    store = session.store(sid)
+    # the restrictions assign every control and chain variable, so the
+    # pieces are conjoined over the structure induced on the base ones
+    lifted = set(range(lay.n + 1, lay.z(lay.m + 1) + 1))
+    store = backend.store(
+        backend.without(session.structure_value(sid), lifted))
     satisfied = set()
     pieces = []
     for ref, diagram in ((left, d_left), (right, d_right)):
@@ -524,8 +492,8 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
                 break
         if missing is None:
             raise RefuteError("a satisfiable line carries every clause")
-        a = _case_assignment(lay, Z.base, missing)
-        pieces.append(backend.restrict(diagram, a))
+        a = _case_assignment(lay, Z.result.clauses, missing)
+        pieces.append(backend.rebase(store, backend.restrict(diagram, a)))
         for b in range(1, lay.m + 1):
             clause = Z.result.clauses[b - 1]
             if any(a.get(abs(lit)) == (1 if lit > 0 else 0)
@@ -542,12 +510,7 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
     for b in sorted(satisfied):
         out = backend.conjoin(store, out, backend.clause(
             store, Z.base.clauses[b - 1]))
-    # The restrictions assigned every control and chain variable, so the
-    # result no longer depends on them: re-express it over the structure
-    # induced on the base variables.
-    lifted = set(range(lay.n + 1, lay.z(lay.m + 1) + 1))
-    target = backend.without(session.structure_value(sid), lifted)
-    return backend.rebase(backend.store(target), out)
+    return out
 
 
 # ---------------------------------------------------------------- restriction

@@ -19,7 +19,7 @@ class StructureError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vtree:
     var: Optional[int]
     left: Optional["Vtree"] = None
@@ -40,6 +40,23 @@ class Vtree:
             variables = frozenset((self.var,))
         # a plain attribute, not a field, so == and hash see only the shape
         object.__setattr__(self, "_variables", variables)
+
+    def __eq__(self, other):
+        # an explicit stack of node pairs; a shared subtree is not walked
+        if not isinstance(other, Vtree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a.var != b.var:
+                    return False
+                if a.var is None:
+                    stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return hash(vtree_to_text(self))
 
     @property
     def is_leaf(self) -> bool:

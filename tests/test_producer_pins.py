@@ -39,7 +39,7 @@ EXTRACT_SHA256 = {
     "obdd": "a696945db95dffbc8a3cb7b2a4b28756e131bb86ba904278ac098153715569a4",
     "sdd": "21bf5730427cb1400841ccc4eb3baebfd0c10d8a342a2e63477b2bfa8366aa3d",
     "dsdnnf":
-        "f7095f03d256255045c9dab4b6e7bff15cd2eaa5e7f5deb038b5ff8327c8d36c",
+        "291d0f53ba3797a2c9a7743499aae30c9a1c0f9cd2b11fda91193f3bed3e1806",
 }
 # stdout of `kcp refute --method compile2ref` on the z lifting of
 # `kcp gen vc-tree --h 2`
