@@ -25,14 +25,15 @@ from kcproof.dsdnnf import (DsdnnfError, circuit_size, circuit_to_text,
 from kcproof.zoo import (ZooError, complete_binary_tree, eq_formula,
                          grid_family, lift_C, lift_Z, path, random_regular,
                          seq_formula, tseitin, vc_formula)
-from kcproof.proofs import (BACKENDS, LINE_FIELDS, RULES, ProofError,
-                            check_proof, parse_proof, proof_to_text)
+from kcproof.proofs import (BACKENDS, FORMATS, LINE_FIELDS, RULES, Proof,
+                            ProofError, check_proof, parse_proof,
+                            proof_to_text)
 from kcproof.refute import (RefuteError, compilation_to_refutation,
                             extract_representation, fold_backend,
                             fold_trace, naive_conjoin_refute, obdd_refute_eq,
                             resolution_refute_lifted, treewidth_refute)
-from kcproof.resolution import (check_resolution, parse_resolution,
-                                resolution_to_text)
+from kcproof.resolution import (ResolutionProof, check_resolution,
+                                parse_resolution, resolution_to_text)
 
 REPORT_SCHEMA_ID = "kcproof-run-report/1"
 
@@ -113,6 +114,13 @@ def run_report(command, parameters, sizes, timings, verdicts=None):
     }
 
 
+def _report(args, parameters, sizes, verdicts=None, **timings):
+    """The run report of args.command: the given phase timings, then
+    wall_seconds, the time since main started the subcommand."""
+    timings["wall_seconds"] = time.perf_counter() - args.started
+    return run_report(args.command, parameters, sizes, timings, verdicts)
+
+
 # ----------------------------------------------------------------- file I/O
 
 def _read_text(path):
@@ -131,18 +139,20 @@ def _write_text(path, text):
         raise UsageError("cannot write %s: %s" % (path, exc))
 
 
-def _finish(args, report, summary, artifact=None):
-    """End a subcommand: write the artifact, if any, to -o, then print the
-    --json report or the summary.  Without -o the artifact alone goes to
-    stdout, so --json has nowhere to go and is rejected."""
+def _finish(args, report, summary, artifact=None, code=0):
+    """End a subcommand and return its exit code: write the artifact, if
+    any, to -o, then print the --json report or the summary.  Without -o
+    the artifact alone goes to stdout, so --json has nowhere to go and is
+    rejected."""
     if artifact is not None:
         if args.output is None and args.json:
             raise UsageError("--json needs -o, stdout carries the artifact")
         if args.output is None:
             sys.stdout.write(artifact)
-            return
+            return code
         _write_text(args.output, artifact)
     print(json.dumps(report, indent=2) if args.json else summary)
+    return code
 
 
 # ------------------------------------------------------------ formula files
@@ -150,17 +160,6 @@ def _finish(args, report, summary, artifact=None):
 def _load_formula(path):
     text = _read_text(path)
     return parse_dimacs(text), text
-
-
-def _lift_marker(text):
-    for raw in text.splitlines():
-        parts = raw.strip().split()
-        if len(parts) == 5 and parts[0] == "c" and parts[1] == "lift":
-            try:
-                return parts[2], int(parts[3]), int(parts[4])
-            except ValueError:
-                raise UsageError("unreadable lift marker %r" % raw.strip())
-    return None
 
 
 def _recover_z_lifting(phi, text):
@@ -171,12 +170,18 @@ def _recover_z_lifting(phi, text):
     variable of the clause) stripped, and the lifting is recomputed and
     compared so a tampered file cannot smuggle in a different formula.
     """
-    marker = _lift_marker(text)
-    if marker is None:
+    for raw in text.splitlines():
+        parts = raw.strip().split()
+        if len(parts) == 5 and parts[0] == "c" and parts[1] == "lift":
+            break
+    else:
         raise UsageError(
             "input carries no lift marker; produce it with the lift"
             " subcommand")
-    kind, base_vars, base_clauses = marker
+    try:
+        kind, base_vars, base_clauses = parts[2], int(parts[3]), int(parts[4])
+    except ValueError:
+        raise UsageError("unreadable lift marker %r" % raw.strip())
     if kind != "z":
         raise UsageError("this command needs a z lifting, marker says %r"
                          % kind)
@@ -229,29 +234,31 @@ def _diagram_size(fmt, d):
     return _DIAGRAM_FILES[fmt][2](d)
 
 
-def _count_models(fmt, d):
-    backend = BACKENDS[fmt]
-    if fmt == "dsdnnf":
-        if d.vtree is None:
-            # deciding determinism without a vtree is coNP-hard: presumed
-            return dsdnnf_count(d, circuit_vars(d))
-        # checks every literal against the vtree before it binds any gate
-        if not validate_deterministic(d, d.vtree):
-            raise DsdnnfError("circuit is not deterministic")
-    return backend.count(d, backend.structure_of(backend.store_of(d)))
+# -------------------------------------------------------------- proof files
 
-
-def _detect_proof(text):
+def _read_proof(path):
+    """The kcp Proof or the ResolutionProof in a proof file, told apart by
+    its first line that is not a comment."""
+    text = _read_text(path)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         if line.startswith("p kcp"):
-            return "kcp"
+            return parse_proof(text)
         if line.startswith("r "):
-            return "resolution"
+            return parse_resolution(text)
         raise UsageError("unrecognized proof header %r" % line)
     raise UsageError("empty proof file")
+
+
+def _check(phi, proof, cap):
+    """Check either kind of proof: the verdict, the proof's kind, its
+    writer and its line count."""
+    if isinstance(proof, ResolutionProof):
+        return (check_resolution(phi, proof), "resolution",
+                resolution_to_text, len(proof.steps))
+    return check_proof(phi, proof, cap), "kcp", proof_to_text, len(proof.lines)
 
 
 # ------------------------------------------------------------- subcommands
@@ -289,37 +296,30 @@ _FAMILIES = {
 
 
 def _cmd_gen(args):
-    start = time.perf_counter()
     _, flags, build = _FAMILIES[args.family]
     values = {flag[2:]: getattr(args, dest) for dest, flag, _, _ in flags}
     phi = build(*values.values())
     comment = "c gen %s\n" % " ".join(
         [args.family] + ["%s=%s" % item for item in sorted(values.items())])
-    report = run_report(
-        "gen", {"family": args.family, **values},
-        {"variables": phi.num_vars, "clauses": phi.num_clauses},
-        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, "wrote %s (%d variables, %d clauses)"
-            % (args.output, phi.num_vars, phi.num_clauses),
-            comment + to_dimacs(phi))
-    return 0
+    report = _report(args, {"family": args.family, **values},
+                     {"variables": phi.num_vars, "clauses": phi.num_clauses})
+    return _finish(args, report, "wrote %s (%d variables, %d clauses)"
+                   % (args.output, phi.num_vars, phi.num_clauses),
+                   comment + to_dimacs(phi))
 
 
 def _cmd_lift(args):
-    start = time.perf_counter()
     phi, _ = _load_formula(args.input)
     lifted = lift_Z(phi).result if args.kind == "z" else lift_C(phi)
     marker = "c lift %s %d %d\n" % (args.kind, phi.num_vars, phi.num_clauses)
-    report = run_report(
-        "lift",
+    report = _report(
+        args,
         {"kind": args.kind, "input": args.input,
          "base_variables": phi.num_vars, "base_clauses": phi.num_clauses},
-        {"variables": lifted.num_vars, "clauses": lifted.num_clauses},
-        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, "wrote %s (%d variables, %d clauses)"
-            % (args.output, lifted.num_vars, lifted.num_clauses),
-            marker + to_dimacs(lifted))
-    return 0
+        {"variables": lifted.num_vars, "clauses": lifted.num_clauses})
+    return _finish(args, report, "wrote %s (%d variables, %d clauses)"
+                   % (args.output, lifted.num_vars, lifted.num_clauses),
+                   marker + to_dimacs(lifted))
 
 
 def _structure(fmt, phi, vtree_mode="right"):
@@ -334,33 +334,25 @@ def _structure(fmt, phi, vtree_mode="right"):
     return right_linear_vtree(order)
 
 
-def _compile_formula(phi, fmt, vtree_mode):
-    """Final diagram, trace length, and max intermediate size, each step
-    measured in fmt, the format the final diagram is written in."""
-    backend, export = fold_backend(fmt)
-    store = backend.store(_structure(fmt, phi, vtree_mode))
-    final, trace = fold_trace(backend, store, phi.clauses)
-    sizes = [_diagram_size(fmt, export(step[-1])) for step in trace]
-    return export(final), len(trace), max(sizes, default=0)
-
-
 def _cmd_compile(args):
-    start = time.perf_counter()
     phi, _ = _load_formula(args.input)
     if phi.num_vars == 0:
         raise UsageError("formula has no variables")
-    final, steps, peak = _compile_formula(phi, args.format, args.vtree)
-    size = _diagram_size(args.format, final)
-    report = run_report(
-        "compile",
-        {"input": args.input, "format": args.format, "vtree": args.vtree},
+    fmt = args.format
+    backend, export = fold_backend(fmt)
+    store = backend.store(_structure(fmt, phi, args.vtree))
+    final, trace = fold_trace(backend, store, phi.clauses)
+    # each step measured in fmt, the format the final diagram is written in
+    peak = max((_diagram_size(fmt, export(step[-1])) for step in trace),
+               default=0)
+    final = export(final)
+    size = _diagram_size(fmt, final)
+    report = _report(
+        args, {"input": args.input, "format": fmt, "vtree": args.vtree},
         {"variables": phi.num_vars, "clauses": phi.num_clauses,
-         "size": size, "max_diagram_size": peak, "trace_steps": steps},
-        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, "wrote %s (%s, size %d, max %d)"
-            % (args.output, args.format, size, peak),
-            _diagram_text(args.format, final))
-    return 0
+         "size": size, "max_diagram_size": peak, "trace_steps": len(trace)})
+    return _finish(args, report, "wrote %s (%s, size %d, max %d)"
+                   % (args.output, fmt, size, peak), _diagram_text(fmt, final))
 
 
 def _infer_eq_parameters(base):
@@ -382,6 +374,7 @@ def _cmd_refute(args):
                   "cap": args.cap}
     sizes = {"variables": phi.num_vars, "clauses": phi.num_clauses}
     start = time.perf_counter()
+    lifted = None if args.method == "naive" else _recover_z_lifting(phi, text)
     if args.method == "naive":
         if phi.num_vars == 0:
             raise UsageError("formula has no variables")
@@ -389,10 +382,8 @@ def _cmd_refute(args):
         proof = naive_conjoin_refute(phi, _structure(args.format, phi),
                                      args.format)
     elif args.method == "resolution":
-        lifted = _recover_z_lifting(phi, text)
         proof = resolution_refute_lifted(lifted)
     elif args.method == "compile2ref":
-        lifted = _recover_z_lifting(phi, text)
         parameters["format"] = args.format
         if args.format == "dsdnnf":
             raise UsageError("compile2ref works with obdd or sdd")
@@ -401,37 +392,27 @@ def _cmd_refute(args):
         _, trace = fold_trace(backend, store, lift_C(lifted.base).clauses)
         proof = compilation_to_refutation(trace, lifted)
     elif args.method == "treewidth":
-        lifted = _recover_z_lifting(phi, text)
         proof, info = treewidth_refute(lifted.base)
         sizes["width"] = info["width"]
     else:
-        lifted = _recover_z_lifting(phi, text)
         n, shift = _infer_eq_parameters(lifted.base)
         parameters.update({"n": n, "shift": shift})
         proof = obdd_refute_eq(n, shift)
     produce_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    if args.method == "resolution":
-        verdict = check_resolution(phi, proof)
-        artifact = resolution_to_text(proof)
-        sizes["proof_lines"] = len(proof.steps)
-    else:
-        verdict = check_proof(phi, proof, args.cap)
-        artifact = proof_to_text(proof)
-        sizes["proof_lines"] = len(proof.lines)
+    verdict, _, write, sizes["proof_lines"] = _check(phi, proof, args.cap)
+    artifact = write(proof)
     check_seconds = time.perf_counter() - start
     found, rejection, code = _outcome(verdict)
     sizes.update(found)
-    report = run_report(
-        "refute", parameters, sizes,
-        {"produce_seconds": produce_seconds, "check_seconds": check_seconds},
-        {"check": verdict.to_json()})
+    report = _report(args, parameters, sizes, {"check": verdict.to_json()},
+                     produce_seconds=produce_seconds,
+                     check_seconds=check_seconds)
     if args.output is not None:
         _write_text(args.output + ".json", json.dumps(report, indent=2) + "\n")
-    _finish(args, report, "accepted (%d lines, max diagram %d)"
-            % (sizes["proof_lines"], sizes.get("max_diagram_size", 0))
-            if verdict.accepted else rejection, artifact)
-    return code
+    return _finish(args, report, "accepted (%d lines, max diagram %d)"
+                   % (sizes["proof_lines"], sizes.get("max_diagram_size", 0))
+                   if verdict.accepted else rejection, artifact, code)
 
 
 def _outcome(verdict):
@@ -446,46 +427,27 @@ def _outcome(verdict):
                               else 3 if verdict.resource else 1)
 
 
-def _check_verdict(formula_path, proof_path, cap):
-    phi, _ = _load_formula(formula_path)
-    text = _read_text(proof_path)
-    kind = _detect_proof(text)
-    if kind == "kcp":
-        proof = parse_proof(text)
-        verdict = check_proof(phi, proof, cap)
-        lines = len(proof.lines)
-    else:
-        proof = parse_resolution(text)
-        verdict = check_resolution(phi, proof)
-        lines = len(proof.steps)
-    return phi, kind, verdict, lines
-
-
 def _cmd_check(args):
-    start = time.perf_counter()
-    phi, kind, verdict, lines = _check_verdict(
-        args.formula, args.proof, args.cap)
+    phi, _ = _load_formula(args.formula)
+    verdict, kind, _, lines = _check(phi, _read_proof(args.proof), args.cap)
     found, rejection, code = _outcome(verdict)
-    sizes = {"variables": phi.num_vars, "clauses": phi.num_clauses,
-             "proof_lines": lines, **found}
-    report = run_report(
-        "check",
+    report = _report(
+        args,
         {"formula": args.formula, "proof": args.proof, "kind": kind,
          "cap": args.cap},
-        sizes, {"wall_seconds": time.perf_counter() - start},
+        {"variables": phi.num_vars, "clauses": phi.num_clauses,
+         "proof_lines": lines, **found},
         {"check": verdict.to_json()})
-    _finish(args, report, "accepted" if verdict.accepted else rejection)
-    return code
+    return _finish(args, report,
+                   "accepted" if verdict.accepted else rejection, code=code)
 
 
 def _cmd_extract(args):
-    start = time.perf_counter()
     phi, text = _load_formula(args.formula)
     lifted = _recover_z_lifting(phi, text)
-    proof_text = _read_text(args.proof)
-    if _detect_proof(proof_text) != "kcp":
+    proof = _read_proof(args.proof)
+    if not isinstance(proof, Proof):
         raise UsageError("extraction needs a diagram proof")
-    proof = parse_proof(proof_text)
     verdict = check_proof(phi, proof, args.cap)
     found, rejection, code = _outcome(verdict)
     if verdict.resource:
@@ -496,38 +458,37 @@ def _cmd_extract(args):
     diagram = extract_representation(proof, lifted, args.var_cap, verdict,
                                      args.cap)
     fmt = proof.system.format
-    report = run_report(
-        "extract",
+    report = _report(
+        args,
         {"formula": args.formula, "proof": args.proof, "format": fmt,
          "var_cap": args.var_cap, "cap": args.cap},
         {"variables": lifted.base.num_vars,
          "clauses": lifted.base.num_clauses,
-         "size": _diagram_size(fmt, diagram), **found},
-        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, "wrote %s (%s, size %d)"
-            % (args.output, fmt, report["sizes"]["size"]),
-            _diagram_text(fmt, diagram))
-    return 0
+         "size": _diagram_size(fmt, diagram), **found})
+    return _finish(args, report, "wrote %s (%s, size %d)"
+                   % (args.output, fmt, report["sizes"]["size"]),
+                   _diagram_text(fmt, diagram))
 
 
 def _cmd_count(args):
-    start = time.perf_counter()
-    fmt, diagram = _parse_diagram(_read_text(args.diagram))
-    models = _count_models(fmt, diagram)
-    report = run_report(
-        "count", {"diagram": args.diagram, "format": fmt},
-        {"size": _diagram_size(fmt, diagram), "models": models},
-        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, models)
-    return 0
+    fmt, d = _parse_diagram(_read_text(args.diagram))
+    backend = BACKENDS[fmt]
+    if fmt == "dsdnnf" and d.vtree is None:
+        # deciding determinism without a vtree is coNP-hard: presumed
+        models = dsdnnf_count(d, circuit_vars(d))
+    else:
+        # checks every literal against the vtree before it binds any gate
+        if fmt == "dsdnnf" and not validate_deterministic(d, d.vtree):
+            raise DsdnnfError("circuit is not deterministic")
+        models = backend.count(d, backend.structure_of(backend.store_of(d)))
+    report = _report(args, {"diagram": args.diagram, "format": fmt},
+                     {"size": _diagram_size(fmt, d), "models": models})
+    return _finish(args, report, models)
 
 
 def _cmd_stats(args):
-    start = time.perf_counter()
-    text = _read_text(args.proof)
-    kind = _detect_proof(text)
-    if kind == "kcp":
-        proof = parse_proof(text)
+    proof = _read_proof(args.proof)
+    if isinstance(proof, Proof):
         sizes = {"proof_lines": len(proof.lines),
                  "structures": len(proof.structures),
                  "diagrams": len(proof.diagrams)}
@@ -538,26 +499,34 @@ def _cmd_stats(args):
             (payload.count(";") + 1
              for _, payload in proof.diagrams.values()), default=0)
         parameters = {
-            "proof": args.proof, "kind": kind,
+            "proof": args.proof, "kind": "kcp",
             "format": proof.system.format,
             "rules": ",".join(r for r in RULES if r in proof.system.rules)
                      or "-"}
     else:
-        proof = parse_resolution(text)
         sizes = {"proof_lines": len(proof.steps),
                  "input_lines": sum(
                      1 for step in proof.steps if step[0] == "input"),
                  "res_lines": sum(
                      1 for step in proof.steps if step[0] == "res")}
-        parameters = {"proof": args.proof, "kind": kind}
-    report = run_report("stats", parameters, sizes,
-                        {"wall_seconds": time.perf_counter() - start})
-    _finish(args, report, "\n".join("%s %d" % (key, sizes[key])
-                                     for key in sorted(sizes)))
-    return 0
+        parameters = {"proof": args.proof, "kind": "resolution"}
+    report = _report(args, parameters, sizes)
+    return _finish(args, report, "\n".join("%s %d" % (key, sizes[key])
+                                            for key in sorted(sizes)))
 
 
 # ------------------------------------------------------------------ parser
+
+def _ending(parser, func, output="write the artifact here, not to stdout"):
+    """Give a subcommand's parser the options it ends with, -o (help text
+    output, None for a subcommand that writes no artifact) and --json, and
+    func, the subcommand."""
+    if output is not None:
+        parser.add_argument("-o", "--output", help=output)
+    parser.add_argument("--json", action="store_true",
+                        help="print a run report")
+    parser.set_defaults(func=func)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -573,31 +542,23 @@ def build_parser():
         for dest, flag, help_text, default in flags:
             p.add_argument(flag, dest=dest, type=int, default=default,
                            required=default is None, help=help_text)
-        p.add_argument("-o", "--output")
-        p.add_argument("--json", action="store_true",
-                       help="print a run report")
-        p.set_defaults(func=_cmd_gen)
+        _ending(p, _cmd_gen)
 
     lift = sub.add_parser("lift", help="apply a clause lifting")
     lift.add_argument("kind", choices=("z", "c"),
                       help="z adds controls and a forcing chain, c only"
                            " controls")
     lift.add_argument("input", help="DIMACS file")
-    lift.add_argument("-o", "--output")
-    lift.add_argument("--json", action="store_true")
-    lift.set_defaults(func=_cmd_lift)
+    _ending(lift, _cmd_lift)
 
     comp = sub.add_parser("compile", help="conjoin the clauses into one"
                                           " diagram")
     comp.add_argument("input", help="DIMACS file")
-    comp.add_argument("--format", choices=("obdd", "sdd", "dsdnnf"),
-                      default="sdd")
+    comp.add_argument("--format", choices=FORMATS, default="sdd")
     comp.add_argument("--vtree", choices=("auto", "right"), default="auto",
                       help="auto follows a tree decomposition; sdd and"
                            " dsdnnf only")
-    comp.add_argument("-o", "--output")
-    comp.add_argument("--json", action="store_true")
-    comp.set_defaults(func=_cmd_compile)
+    _ending(comp, _cmd_compile)
 
     ref = sub.add_parser("refute", help="produce a refutation and check it")
     ref.add_argument("input", help="DIMACS file; every method except naive"
@@ -605,22 +566,17 @@ def build_parser():
     ref.add_argument("--method", required=True,
                      choices=("naive", "resolution", "compile2ref",
                               "treewidth", "eq"))
-    ref.add_argument("--format", choices=("obdd", "sdd", "dsdnnf"),
-                     default="obdd",
+    ref.add_argument("--format", choices=FORMATS, default="obdd",
                      help="diagram kind for naive and compile2ref")
     ref.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
-    ref.add_argument("-o", "--output",
-                     help="proof file; a .json report sidecar is written"
-                          " next to it")
-    ref.add_argument("--json", action="store_true")
-    ref.set_defaults(func=_cmd_refute)
+    _ending(ref, _cmd_refute, "proof file; a .json report sidecar is"
+                              " written next to it")
 
     chk = sub.add_parser("check", help="check a proof against a formula")
     chk.add_argument("formula", help="DIMACS file")
     chk.add_argument("proof", help="kcp or resolution proof file")
     chk.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
-    chk.add_argument("--json", action="store_true")
-    chk.set_defaults(func=_cmd_check)
+    _ending(chk, _cmd_check, None)
 
     ext = sub.add_parser("extract", help="split an accepted refutation of"
                                          " a lifting into a diagram for"
@@ -630,21 +586,17 @@ def build_parser():
     ext.add_argument("--var-cap", type=int, default=22,
                      help="refuse outputs over more variables than this")
     ext.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
-    ext.add_argument("-o", "--output")
-    ext.add_argument("--json", action="store_true")
-    ext.set_defaults(func=_cmd_extract)
+    _ending(ext, _cmd_extract)
 
     cnt = sub.add_parser("count", help="model count of a diagram file over"
                                        " its structure variables")
     cnt.add_argument("diagram")
-    cnt.add_argument("--json", action="store_true")
-    cnt.set_defaults(func=_cmd_count)
+    _ending(cnt, _cmd_count, None)
 
     sts = sub.add_parser("stats", help="line and size statistics of a"
                                        " proof file")
     sts.add_argument("proof")
-    sts.add_argument("--json", action="store_true")
-    sts.set_defaults(func=_cmd_stats)
+    _ending(sts, _cmd_stats, None)
     return parser
 
 
@@ -654,16 +606,19 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    args.started = time.perf_counter()
+    # an exact model count may have any number of digits; the interpreter
+    # limits them from Python 3.10.7 on, 0 meaning no limit
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print("resource cap exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (CnfError, StructureError, ObddError, SddError, DsdnnfError,
-            ZooError, ProofError, RefuteError) as exc:
+    except (UsageError, CnfError, StructureError, ObddError, SddError,
+            DsdnnfError, ZooError, ProofError, RefuteError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
@@ -671,6 +626,9 @@ def main(argv=None):
         reason = " ".join(str(exc).split()) or "no message"
         print("error: %s: %s" % (type(exc).__name__, reason), file=sys.stderr)
         return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,10 @@ did better, in the direction ``BENCHMARK.json`` declares.  The k-th run of
 a seed on one tree pairs with the k-th run of that seed on the other, so a
 seed recorded twice gives two pairs.  The script ends by printing the
 summary, one line per workload and end-to-end metric.
+
+Each run compiles its tree's modules into a new, empty bytecode directory
+(``PYTHONPYCACHEPREFIX``), removed after the run, so that no tree imports
+``__pycache__`` files left in it by an earlier run.
 """
 
 import argparse
@@ -24,16 +28,19 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_once(tree, workload, seed, seconds, trace):
-    done = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        done = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"),
+             "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=tree, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPYCACHEPREFIX=cache))
     lines = done.stdout.strip().splitlines()
     record = {"exit": done.returncode, "result": None}
     if done.returncode == 0 and len(lines) >= 2:
