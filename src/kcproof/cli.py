@@ -452,21 +452,22 @@ def _cmd_extract(args):
     found, rejection, code = _outcome(verdict)
     if verdict.resource:
         raise CapExceeded(verdict.reason)
+    fmt = proof.system.format
+    parameters = {"formula": args.formula, "proof": args.proof,
+                  "format": fmt, "var_cap": args.var_cap, "cap": args.cap}
+    sizes = {"variables": lifted.base.num_vars,
+             "clauses": lifted.base.num_clauses}
+    verdicts = {"check": verdict.to_json()}
     if code:
-        print(rejection, file=sys.stderr)
-        return code
+        return _finish(args, _report(args, parameters, {**sizes, **found},
+                                     verdicts), rejection, code=code)
     diagram = extract_representation(proof, lifted, args.var_cap, verdict,
                                      args.cap)
-    fmt = proof.system.format
-    report = _report(
-        args,
-        {"formula": args.formula, "proof": args.proof, "format": fmt,
-         "var_cap": args.var_cap, "cap": args.cap},
-        {"variables": lifted.base.num_vars,
-         "clauses": lifted.base.num_clauses,
-         "size": _diagram_size(fmt, diagram), **found})
-    return _finish(args, report, "wrote %s (%s, size %d)"
-                   % (args.output, fmt, report["sizes"]["size"]),
+    sizes["size"] = _diagram_size(fmt, diagram)
+    return _finish(args, _report(args, parameters, {**sizes, **found},
+                                 verdicts),
+                   "wrote %s (%s, size %d)" % (args.output, fmt,
+                                               sizes["size"]),
                    _diagram_text(fmt, diagram))
 
 

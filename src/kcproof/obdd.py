@@ -1,10 +1,12 @@
 """Reduced ordered binary decision diagrams.
 
-A store owns one variable order and an append-only node table with a unique
-table, so diagrams are canonical: two references in the same store compute
-the same function exactly when their root ids coincide.  There are no
-complement edges.  Node ids 0 and 1 are the constant-false and constant-true
-sinks; every other id is an internal (var, lo, hi) node.
+A store owns one variable order and a node table with a unique table, so
+diagrams are canonical: two references in the same store compute the same
+function exactly when their root ids coincide.  There are no complement
+edges.  Node ids 0 and 1 are the constant-false and constant-true sinks;
+every other id is an internal (var, lo, hi) node.  Ids are handed out in
+creation order and never reused; collect frees the nodes that no given
+root reaches, and a freed id's slot holds None.
 """
 
 from .structure import (StructureError, order_to_text, parse_order,
@@ -103,7 +105,7 @@ class ObddStore:
         self.levels = [len(order), len(order)]
         self.unique = {}
         # whole-operation results, under (op, smaller id, larger id) or
-        # ("not", id); kept for the store's life
+        # ("not", id); kept until collect frees a node they name
         self.cache = {}
         # the recursion memo of the one operation running now, emptied when
         # it returns: across operations it hits almost never, and a
@@ -194,6 +196,31 @@ class ObddStore:
                     seen.add(hi)
                     stack.append(hi)
         return seen
+
+    def collect(self, roots):
+        """Free every node that no root reaches: its table slot, its
+        unique-table entry and each cached result that names it.  Ids
+        are never reused, so a node that stays keeps its id."""
+        nodes = self.nodes
+        live = {self.FALSE, self.TRUE}
+        stack = list(roots)
+        while stack:
+            u = stack.pop()
+            if u not in live:
+                live.add(u)
+                _, lo, hi = nodes[u]
+                stack.append(lo)
+                stack.append(hi)
+        unique = {}
+        for key, u in self.unique.items():
+            if u in live:
+                unique[key] = u
+            else:
+                nodes[u] = None
+        self.unique = unique
+        # keys are (op, a, b) or ("not", u)
+        self.cache = {key: u for key, u in self.cache.items()
+                      if u in live and key[1] in live and key[-1] in live}
 
     def count(self, u, over):
         over = set(over)
@@ -404,10 +431,17 @@ def obdd_to_lines(d):
     return lines
 
 
-def obdd_from_lines(store, lines):
-    """Rebuild a diagram from node statements; ids are file-local labels."""
+def obdd_from_lines(store, lines, sized=False):
+    """Rebuild a diagram from node statements; ids are file-local labels.
+
+    With sized, return the diagram and its obdd_total_size, counted by one
+    backward sweep over the parsed (id, lo, hi) triples from the root:
+    mk makes no node that no statement names, so every node the root
+    reaches is a sink or a statement's id, and a statement comes after
+    those of its children."""
     ids = {"F": store.FALSE, "T": store.TRUE}
     mk = store.mk
+    triples = []
     root = None
     for line in lines:
         parts = line.split()
@@ -429,7 +463,8 @@ def obdd_from_lines(store, lines):
             hi = ids.get(hi_text)
             if hi is None:
                 raise ObddError("reference to undefined node %r" % hi_text)
-            ids[label] = mk(var, lo, hi)
+            u = ids[label] = mk(var, lo, hi)
+            triples.append((u, lo, hi))
         elif parts[0] == "root":
             if len(parts) != 2 or root is not None:
                 raise ObddError("malformed root statement %r" % line)
@@ -440,7 +475,15 @@ def obdd_from_lines(store, lines):
             raise ObddError("unknown statement %r" % line)
     if root is None:
         raise ObddError("missing root statement")
-    return ObddRef(store, root)
+    if not sized:
+        return ObddRef(store, root)
+    reached = {root}
+    add = reached.add
+    for u, lo, hi in reversed(triples):
+        if u in reached:
+            add(lo)
+            add(hi)
+    return ObddRef(store, root), len(reached)
 
 
 def obdd_to_text(d):

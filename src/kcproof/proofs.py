@@ -50,7 +50,6 @@ from kcproof.obdd import (
     obdd_from_lines,
     obdd_restrict,
     obdd_to_lines,
-    obdd_total_size,
 )
 from kcproof.sdd import (
     SddError,
@@ -235,6 +234,7 @@ class _Backend:
 
     structure_kind = "vtree"   # the kind named by the format's s statements
     structure_type = Vtree
+    collects = True            # its stores free nodes by collect(roots)
 
     def structure_text(self, tree):
         return vtree_to_text(tree)
@@ -296,8 +296,7 @@ class _ObddBackend(_Backend):
         return ObddStore(order)
 
     def parse(self, store, pieces, cap):
-        d = obdd_from_lines(store, pieces)
-        return d, obdd_total_size(d)
+        return obdd_from_lines(store, pieces, sized=True)
 
     def lines(self, d):
         return obdd_to_lines(d)
@@ -451,6 +450,7 @@ class _DsdnnfBackend(_Backend):
 
     name = "dsdnnf"
     diagram_type = Circuit
+    collects = False
 
     def store(self, tree):
         return tree
@@ -727,6 +727,13 @@ def parse_proof(text):
 
 # ------------------------------------------------------------------- checking
 
+# check_proof sweeps a store once it holds COLLECT_FACTOR times the nodes
+# its last sweep kept, and at least COLLECT_FLOOR nodes.  With both at 0
+# it sweeps every store after every line.
+COLLECT_FLOOR = 4096
+COLLECT_FACTOR = 2
+
+
 class _Session:
     """Working state of one checking run: stores and parsed diagrams.
 
@@ -743,6 +750,7 @@ class _Session:
         self._shared = {}    # structure -> store
         self.objs = {}
         self.sizes = {}
+        self._sweep_at = {}  # store -> node count that starts its next sweep
 
     def structure_value(self, sid):
         return self.proof.structures[sid]
@@ -775,6 +783,22 @@ class _Session:
     def count(self, d, sid):
         """Models of d over the leaves of structure sid."""
         return self.backend.count(d, self.proof.structures[sid])
+
+    def release(self, dids):
+        """Forget the parsed diagrams dids, then sweep each store grown
+        past its threshold, keeping the nodes of the diagrams still held.
+        Only check_proof releases: the other sessions' callers write store
+        ids into proofs or read every line."""
+        for did in dids:
+            self.objs.pop(did, None)
+        if not self.backend.collects:
+            return
+        for store in self._shared.values():
+            if len(store.unique) >= self._sweep_at.get(store, COLLECT_FLOOR):
+                store.collect([d.node for d in self.objs.values()
+                               if d.store is store])
+                self._sweep_at[store] = max(
+                    COLLECT_FLOOR, COLLECT_FACTOR * len(store.unique))
 
 
 def _single_move_step(a, b):
@@ -899,13 +923,16 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     (Verdict.resource); malformed payloads reject at the first line that
     needs them.  The result is always a verdict: inside a line, a
     RecursionError or MemoryError counts as a blown cap and any other
-    exception as a malformed line.
+    exception as a malformed line.  A parsed diagram is forgotten after
+    the last line that reads it, and the stores are swept as they grow,
+    so the check holds about the diagrams live at once.
     """
     stats = {"lines": len(proof.lines), "max_diagram_size": 0,
              "total_nodes": 0}
     if not proof.lines:
         return Verdict(False, None, "empty proof", stats)
     session = _Session(proof, cap)
+    dead = _last_uses(proof)
     # clause sets are read only by reorder lines of weakening-free proofs
     rules = proof.system.rules
     track = {} if "reorder" in rules and "weaken" not in rules else None
@@ -931,11 +958,31 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
         size = session.sizes[line.diagram_id]
         stats["max_diagram_size"] = max(stats["max_diagram_size"], size)
         stats["total_nodes"] += size
+        session.release(dead.get(line.n, ()))
     last = proof.lines[-1]
     if not session.backend.is_false(session.objs[last.diagram_id]):
         return Verdict(False, last.n,
                        "final line is not the constant-false diagram", stats)
     return Verdict(True, None, None, stats)
+
+
+def _last_uses(proof):
+    """Line number -> the diagram ids that no later line reads.  A line
+    reads its own diagram, those of its in-range references and its
+    certificates; the final line's diagram is kept for the verdict."""
+    last = {}
+    for line in proof.lines:
+        last[line.diagram_id] = line.n
+        for ref in line.refs:
+            if 1 <= ref < line.n:
+                last[proof.lines[ref - 1].diagram_id] = line.n
+        for did in line.cert_ids:
+            last[did] = line.n
+    del last[proof.lines[-1].diagram_id]
+    dead = {}
+    for did, n in last.items():
+        dead.setdefault(n, []).append(did)
+    return dead
 
 
 def _clause_set(sets, line):

@@ -38,6 +38,11 @@ restricted elements are its own; a rebuild through mk_dec would only
 find the same node again.  It visits only the children bound below an assigned
 variable.
 
+collect frees the nodes that neither a given root nor a true_at or false_at
+node reaches, with every cache, count and embedding entry that names one.
+Ids are never reused, and a freed id's slots hold None.  Only the checker
+collects, since a producer's node creation order is part of its proof.
+
 Node descriptors:
   ("lit", path, lit)        literal atom at a leaf
   ("true", path)            canonical constant-true at a leaf
@@ -361,6 +366,36 @@ class SddStore:
             result = len(self._leaf_values(u))
         self.counts[u] = result
         return result
+
+    def collect(self, roots):
+        """Free every node that neither a root nor a true_at or false_at
+        node reaches: its table slots, its unique-table entry and each
+        cached result, count and literal embedding that names it.  Ids
+        are never reused, so a node that stays keeps its id."""
+        nodes = self.nodes
+        live = set()
+        stack = [*roots, *self._true_at.values(), *self._false_at.values()]
+        while stack:
+            t = stack.pop()
+            if t not in live:
+                live.add(t)
+                descriptor = nodes[t]
+                if descriptor[0] == "dec":
+                    for element in descriptor[2]:
+                        stack += element
+        unique = {}
+        for descriptor, t in self.unique.items():
+            if t in live:
+                unique[descriptor] = t
+            else:
+                nodes[t] = self.node_path[t] = None
+        self.unique = unique
+        # keys are (op, a, b) or ("not", u)
+        self.cache = {key: t for key, t in self.cache.items()
+                      if t in live and key[1] in live and key[-1] in live}
+        self.counts = {t: c for t, c in self.counts.items() if t in live}
+        self._embedded = {key: t for key, t in self._embedded.items()
+                          if t in live}
 
     def reachable(self, u):
         """Ids of the nodes reachable from u, u and atoms included."""
