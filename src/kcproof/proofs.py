@@ -587,22 +587,25 @@ def _line_text(line):
     return " ".join(tokens)
 
 
-def proof_to_lines(proof):
+def proof_to_text(proof):
+    """The proof's text, joined once from its pieces: each diagram payload
+    goes in as it is, uncopied until the join."""
     rules = ",".join(r for r in RULES if r in proof.system.rules) or "-"
-    out = ["p kcp %s %s" % (proof.system.format, rules)]
+    out = ["p kcp %s %s\n" % (proof.system.format, rules)]
     backend = BACKENDS[proof.system.format]
     for sid, value in sorted(proof.structures.items()):
-        out.append("s %d %s %s" % (sid, backend.structure_kind,
-                                   backend.structure_text(value)))
+        out.append("s %d %s %s\n" % (sid, backend.structure_kind,
+                                     backend.structure_text(value)))
     for did in sorted(proof.diagrams):
         sid, payload = proof.diagrams[did]
-        out.append("d %d %d %s" % (did, sid, payload))
-    out += [_line_text(line) for line in proof.lines]
-    return out
+        out += ("d %d %d " % (did, sid), payload, "\n")
+    for line in proof.lines:
+        out += (_line_text(line), "\n")
+    return "".join(out)
 
 
-def proof_to_text(proof):
-    return "\n".join(proof_to_lines(proof)) + "\n"
+def proof_to_lines(proof):
+    return proof_to_text(proof).splitlines()
 
 
 def _int(token, what):
@@ -737,9 +740,9 @@ COLLECT_FACTOR = 2
 class _Session:
     """Working state of one checking run: stores and parsed diagrams.
 
-    Equal structures share one store, so no rule compares diagrams across
-    stores.  Every payload is parsed at most once, which validates it
-    against its structure.
+    Equal structures share one store while one of their structure ids is
+    live, so no rule compares diagrams across stores.  Every payload is
+    parsed at most once, which validates it against its structure.
     """
 
     def __init__(self, proof, cap):
@@ -784,13 +787,21 @@ class _Session:
         """Models of d over the leaves of structure sid."""
         return self.backend.count(d, self.proof.structures[sid])
 
-    def release(self, dids):
-        """Forget the parsed diagrams dids, then sweep each store grown
-        past its threshold, keeping the nodes of the diagrams still held.
-        Only check_proof releases: the other sessions' callers write store
-        ids into proofs or read every line."""
+    def release(self, dids, sids):
+        """Forget the parsed diagrams dids and the structure ids sids, and
+        each store no structure id is bound to any more; then sweep each
+        store grown past its threshold, keeping the nodes of the diagrams
+        still held.  A live diagram's structure id is live, so a forgotten
+        store holds none.  Only check_proof releases: the other sessions'
+        callers write store ids into proofs or read every line."""
         for did in dids:
             self.objs.pop(did, None)
+        for sid in sids:
+            store = self.stores.pop(sid, None)
+            if store is not None \
+                    and all(s is not store for s in self.stores.values()):
+                del self._shared[self.proof.structures[sid]]
+                self._sweep_at.pop(store, None)
         if not self.backend.collects:
             return
         for store in self._shared.values():
@@ -925,14 +936,15 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     RecursionError or MemoryError counts as a blown cap and any other
     exception as a malformed line.  A parsed diagram is forgotten after
     the last line that reads it, and the stores are swept as they grow,
-    so the check holds about the diagrams live at once.
+    so the check holds about the diagrams live at once.  A store is
+    forgotten after the last line that reads one of its structures.
     """
     stats = {"lines": len(proof.lines), "max_diagram_size": 0,
              "total_nodes": 0}
     if not proof.lines:
         return Verdict(False, None, "empty proof", stats)
     session = _Session(proof, cap)
-    dead = _last_uses(proof)
+    dead_dids, dead_sids = _last_uses(proof)
     # clause sets are read only by reorder lines of weakening-free proofs
     rules = proof.system.rules
     track = {} if "reorder" in rules and "weaken" not in rules else None
@@ -958,7 +970,8 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
         size = session.sizes[line.diagram_id]
         stats["max_diagram_size"] = max(stats["max_diagram_size"], size)
         stats["total_nodes"] += size
-        session.release(dead.get(line.n, ()))
+        session.release(dead_dids.get(line.n, ()),
+                        dead_sids.get(line.n, ()))
     last = proof.lines[-1]
     if not session.backend.is_false(session.objs[last.diagram_id]):
         return Verdict(False, last.n,
@@ -967,21 +980,31 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
 
 
 def _last_uses(proof):
-    """Line number -> the diagram ids that no later line reads.  A line
-    reads its own diagram, those of its in-range references and its
-    certificates; the final line's diagram is kept for the verdict."""
-    last = {}
+    """Two tables, line number -> the diagram ids and line number -> the
+    structure ids that no later line reads.  A line reads its own diagram,
+    those of its in-range references and its certificates, the structure
+    of each, and on a move or reorder line its structure_id; the final
+    line's diagram and structure are kept for the verdict."""
+    last_did, last_sid = {}, {}
     for line in proof.lines:
-        last[line.diagram_id] = line.n
-        for ref in line.refs:
-            if 1 <= ref < line.n:
-                last[proof.lines[ref - 1].diagram_id] = line.n
-        for did in line.cert_ids:
-            last[did] = line.n
-    del last[proof.lines[-1].diagram_id]
-    dead = {}
-    for did, n in last.items():
-        dead.setdefault(n, []).append(did)
+        dids = [line.diagram_id]
+        dids += [proof.lines[ref - 1].diagram_id for ref in line.refs
+                 if 1 <= ref < line.n]
+        dids += line.cert_ids
+        for did in dids:
+            last_did[did] = line.n
+            if did in proof.diagrams:
+                last_sid[proof.diagrams[did][0]] = line.n
+        if line.structure_id is not None:
+            last_sid[line.structure_id] = line.n
+    final = proof.lines[-1].diagram_id
+    del last_did[final]
+    if final in proof.diagrams:
+        del last_sid[proof.diagrams[final][0]]
+    dead = ({}, {})
+    for table, last in zip(dead, (last_did, last_sid)):
+        for key, n in last.items():
+            table.setdefault(n, []).append(key)
     return dead
 
 
