@@ -18,6 +18,9 @@ live in kcproof.refute and the resolution format in kcproof.resolution;
 this module imports neither.
 """
 
+import marshal
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -187,6 +190,11 @@ class Proof:
     def add_diagram(self, sid, payload):
         if sid not in self.structures:
             raise ProofError("diagram names unknown structure %d" % sid)
+        if len(self._diagram_ids) != len(self.diagrams):
+            # the parser fills no table: a parsed proof builds it when
+            # extended, the last of equal diagrams keeping its id
+            self._diagram_ids = {key: did
+                                 for did, key in self.diagrams.items()}
         key = (sid, payload)
         if key in self._diagram_ids:
             return self._diagram_ids[key]
@@ -665,7 +673,6 @@ def proof_from_lines(lines):
             if did in proof.diagrams:
                 raise ProofError("diagram id %d reused" % did)
             proof.diagrams[did] = (sid, pieces[3])
-            proof._diagram_ids[(sid, pieces[3])] = did
             continue
         parts = text.split()
         if system is None:
@@ -735,6 +742,19 @@ def parse_proof(text):
 # it sweeps every store after every line.
 COLLECT_FLOOR = 4096
 COLLECT_FACTOR = 2
+# check_proof gives each range of lines it checks in a process of its own
+# at least SPLIT_FLOOR bytes of payload to read; with 0 it makes one range
+# per CPU.  Two ranges first paid off at about 400 KB of reads on 2 vCPUs
+# (prefixes of the eq(128) refutation, from a 57 MB process): below that,
+# the fork, its copy-on-write faults and the reaping cost more than the
+# second CPU saves.
+SPLIT_FLOOR = 1 << 18
+# The calling process checks the first range and then waits idle for any
+# child still running, while no child waits; so the first range reads
+# FIRST_SHARE times the payload bytes of each other range.  Two processes
+# checking halves of the eq(128) refutation finished up to 1.4 times
+# apart on 2 shared vCPUs, the faster either one.
+FIRST_SHARE = 1.2
 
 
 class _Session:
@@ -934,78 +954,190 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     (Verdict.resource); malformed payloads reject at the first line that
     needs them.  The result is always a verdict: inside a line, a
     RecursionError or MemoryError counts as a blown cap and any other
-    exception as a malformed line.  A parsed diagram is forgotten after
-    the last line that reads it, and the stores are swept as they grow,
-    so the check holds about the diagrams live at once.  A store is
-    forgotten after the last line that reads one of its structures.
+    exception as a malformed line.
+
+    No line's soundness depends on another line's verdict, so the lines
+    are checked in contiguous ranges (see _ranges), each range after the
+    first in a forked child process that sends its result back through a
+    pipe.  The earliest failing line wins and the stats sum the lines
+    before it, so the verdict is the one a single range gives.  A child
+    that ends without a result, or a fork that fails, has its range
+    checked in this process; an earlier range's rejection, or an
+    exception here, kills and reaps every child still running.
     """
     stats = {"lines": len(proof.lines), "max_diagram_size": 0,
              "total_nodes": 0}
     if not proof.lines:
         return Verdict(False, None, "empty proof", stats)
+    ranges = _ranges(proof)
+    children = {}  # first line of a range -> child pid, read end of its pipe
+    results = []
+    try:
+        for first, last in ranges[1:]:
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                try:
+                    data = marshal.dumps(
+                        _check_range(phi, proof, cap, first, last))
+                    while data:
+                        data = data[os.write(write_end, data):]
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children[first] = pid, read_end
+        for first, last in ranges:
+            if results and results[-1][0] is not None:
+                break
+            result = None
+            if first in children:
+                pid, read_end = children[first]
+                chunks = [os.read(read_end, 1 << 16)]
+                while chunks[-1]:
+                    chunks.append(os.read(read_end, 1 << 16))
+                status = os.waitpid(pid, 0)[1]
+                del children[first]
+                os.close(read_end)
+                if status == 0:
+                    try:
+                        result = marshal.loads(b"".join(chunks))
+                    except (EOFError, ValueError, TypeError):
+                        pass
+            if result is None:
+                result = _check_range(phi, proof, cap, first, last)
+            results.append(result)
+    finally:
+        for pid, read_end in children.values():
+            os.close(read_end)
+            # a pid this process no longer waits for is not touched
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+    stats["max_diagram_size"] = max(result[2] for result in results)
+    stats["total_nodes"] = sum(result[3] for result in results)
+    failing, reason = results[-1][:2]
+    return Verdict(failing is None, failing, reason, stats)
+
+
+def _ranges(proof):
+    """Contiguous ranges (first, last) of a proof's line numbers, at most
+    one per CPU this process may run on, split by the payload bytes the
+    lines read: to within a line, the first range reads FIRST_SHARE
+    shares and each other range one share, of at least SPLIT_FLOOR bytes.
+    One range where the platform reports no CPU set, or while a second
+    thread runs: a fork copies the calling thread alone."""
+    diagrams = proof.diagrams
+    weights = [sum(len(diagrams[did][1]) for did in _reads(proof, line)
+                   if did in diagrams) for line in proof.lines]
+    total = sum(weights)
+    count = 1
+    if hasattr(os, "sched_getaffinity") and len(sys._current_frames()) == 1:
+        count = len(os.sched_getaffinity(0))
+        if SPLIT_FLOOR:
+            # each range after the first reads total / shares bytes
+            count = min(count, int(total / SPLIT_FLOOR - FIRST_SHARE) + 1)
+    # the first range, the calling process's, counts as FIRST_SHARE ranges
+    shares = count - 1 + FIRST_SHARE
+    ranges, first, read = [], 1, 0
+    for n, weight in enumerate(weights[:-1], 1):
+        read += weight
+        if len(ranges) + 1 < count \
+                and read * shares >= total * (len(ranges) + FIRST_SHARE):
+            ranges.append((first, n))
+            first = n + 1
+    ranges.append((first, len(weights)))
+    return ranges
+
+
+def _check_range(phi, proof, cap, first, last):
+    """Check lines first to last of a refutation of phi in a session of
+    their own; return (failing line or None, reason, largest size, total
+    nodes), the sizes over the lines that passed.  The range holding the
+    final line also tests that it is the constant-false diagram.  A
+    parsed diagram is forgotten after the last line of the range that
+    reads it, and the stores are swept as they grow, so the check holds
+    about the diagrams live at once.  A store is forgotten after the last
+    line of the range that reads one of its structures."""
     session = _Session(proof, cap)
-    dead_dids, dead_sids = _last_uses(proof)
+    dead_dids, dead_sids = _last_uses(proof, first, last)
     # clause sets are read only by reorder lines of weakening-free proofs
     rules = proof.system.rules
-    track = {} if "reorder" in rules and "weaken" not in rules else None
-    for line in proof.lines:
+    track = None
+    if "reorder" in rules and "weaken" not in rules:
+        # priming reads lines an earlier range checks: should it raise on
+        # an unsound one, that range's rejection wins over this range
+        track = {}
+        for line in proof.lines[:first - 1]:
+            track[line.n] = _clause_set(track, line)
+    largest = total = 0
+    for line in proof.lines[first - 1:last]:
         try:
             reason = _check_line(session, phi, line, track)
         except CapExceeded as exc:
-            return Verdict(False, line.n,
-                           "resource cap exceeded: %s" % exc, stats)
+            reason = "resource cap exceeded: %s" % exc
         except (ProofError, CnfError, StructureError, ObddError, SddError,
                 DsdnnfError) as exc:
-            return Verdict(False, line.n, "malformed: %s" % exc, stats)
+            reason = "malformed: %s" % exc
         except (RecursionError, MemoryError) as exc:
-            return Verdict(False, line.n, "resource cap exceeded: %s"
-                           % type(exc).__name__, stats)
+            reason = "resource cap exceeded: %s" % type(exc).__name__
         except Exception as exc:
-            return Verdict(False, line.n, "malformed: %s: %s"
-                           % (type(exc).__name__, exc), stats)
+            reason = "malformed: %s: %s" % (type(exc).__name__, exc)
         if reason is not None:
-            return Verdict(False, line.n, reason, stats)
+            return line.n, reason, largest, total
         if track is not None:
             track[line.n] = _clause_set(track, line)
         size = session.sizes[line.diagram_id]
-        stats["max_diagram_size"] = max(stats["max_diagram_size"], size)
-        stats["total_nodes"] += size
-        session.release(dead_dids.get(line.n, ()),
-                        dead_sids.get(line.n, ()))
-    last = proof.lines[-1]
-    if not session.backend.is_false(session.objs[last.diagram_id]):
-        return Verdict(False, last.n,
-                       "final line is not the constant-false diagram", stats)
-    return Verdict(True, None, None, stats)
+        largest = max(largest, size)
+        total += size
+        session.release(dead_dids.get(line.n, ()), dead_sids.get(line.n, ()))
+    if last == len(proof.lines) \
+            and not session.backend.is_false(session.objs[line.diagram_id]):
+        return line.n, "final line is not the constant-false diagram", \
+            largest, total
+    return None, None, largest, total
 
 
-def _last_uses(proof):
-    """Two tables, line number -> the diagram ids and line number -> the
-    structure ids that no later line reads.  A line reads its own diagram,
-    those of its in-range references and its certificates, the structure
-    of each, and on a move or reorder line its structure_id; the final
+def _last_uses(proof, first, last):
+    """Two tables for lines first to last, line number -> the diagram ids
+    and line number -> the structure ids that no later line of the range
+    reads.  A line reads the diagrams _reads names, the structure of
+    each, and on a move or reorder line its structure_id; the final
     line's diagram and structure are kept for the verdict."""
     last_did, last_sid = {}, {}
-    for line in proof.lines:
-        dids = [line.diagram_id]
-        dids += [proof.lines[ref - 1].diagram_id for ref in line.refs
-                 if 1 <= ref < line.n]
-        dids += line.cert_ids
-        for did in dids:
+    for line in proof.lines[first - 1:last]:
+        for did in _reads(proof, line):
             last_did[did] = line.n
             if did in proof.diagrams:
                 last_sid[proof.diagrams[did][0]] = line.n
         if line.structure_id is not None:
             last_sid[line.structure_id] = line.n
-    final = proof.lines[-1].diagram_id
-    del last_did[final]
-    if final in proof.diagrams:
-        del last_sid[proof.diagrams[final][0]]
+    if last == len(proof.lines):
+        final = proof.lines[-1].diagram_id
+        del last_did[final]
+        if final in proof.diagrams:
+            del last_sid[proof.diagrams[final][0]]
     dead = ({}, {})
-    for table, last in zip(dead, (last_did, last_sid)):
-        for key, n in last.items():
+    for table, uses in zip(dead, (last_did, last_sid)):
+        for key, n in uses.items():
             table.setdefault(n, []).append(key)
     return dead
+
+
+def _reads(proof, line):
+    """The diagram ids a line reads: its own, those of its in-range
+    references and its certificates."""
+    return [line.diagram_id] + [proof.lines[ref - 1].diagram_id
+                                for ref in line.refs if 1 <= ref < line.n] \
+        + list(line.cert_ids)
 
 
 def _clause_set(sets, line):
