@@ -9,6 +9,7 @@ schemas/run-report.json); validate_report checks a report against it.
 
 import argparse
 import json
+import signal
 import sys
 import time
 
@@ -601,6 +602,10 @@ def build_parser():
     return parser
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -613,6 +618,9 @@ def main(argv=None):
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_limit:
         sys.set_int_max_str_digits(0)
+    # SIGTERM (kill, timeout(1)) ends the command as an exception would,
+    # so check_proof kills and reaps the processes it forked
+    terminate = signal.signal(signal.SIGTERM, _terminated)
     try:
         return args.func(args)
     except CapExceeded as exc:
@@ -628,6 +636,7 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, reason), file=sys.stderr)
         return 2
     finally:
+        signal.signal(signal.SIGTERM, terminate)
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
 

@@ -743,18 +743,11 @@ def parse_proof(text):
 COLLECT_FLOOR = 4096
 COLLECT_FACTOR = 2
 # check_proof gives each range of lines it checks in a process of its own
-# at least SPLIT_FLOOR bytes of payload to read; with 0 it makes one range
-# per CPU.  Two ranges first paid off at about 400 KB of reads on 2 vCPUs
-# (prefixes of the eq(128) refutation, from a 57 MB process): below that,
-# the fork, its copy-on-write faults and the reaping cost more than the
-# second CPU saves.
+# at least SPLIT_FLOOR bytes of payload to read.  Two ranges first paid
+# off at about 400 KB of reads on 2 vCPUs (prefixes of the eq(128)
+# refutation, from a 57 MB process): below that, the fork, its
+# copy-on-write faults and the reaping cost more than the second CPU saves.
 SPLIT_FLOOR = 1 << 18
-# The calling process checks the first range and then waits idle for any
-# child still running, while no child waits; so the first range reads
-# FIRST_SHARE times the payload bytes of each other range.  Two processes
-# checking halves of the eq(128) refutation finished up to 1.4 times
-# apart on 2 shared vCPUs, the faster either one.
-FIRST_SHARE = 1.2
 
 
 class _Session:
@@ -963,7 +956,10 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     before it, so the verdict is the one a single range gives.  A child
     that ends without a result, or a fork that fails, has its range
     checked in this process; an earlier range's rejection, or an
-    exception here, kills and reaps every child still running.
+    exception raised in this process, kills and reaps every child still
+    running.  A child ends by os._exit whatever it raises.  Should this
+    process be killed by a signal it does not handle, its children run
+    on to the end of their ranges and exit.
     """
     stats = {"lines": len(proof.lines), "max_diagram_size": 0,
              "total_nodes": 0}
@@ -972,29 +968,35 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
     ranges = _ranges(proof)
     children = {}  # first line of a range -> child pid, read end of its pipe
     results = []
+    caller = os.getpid()
     try:
         for first, last in ranges[1:]:
+            import signal  # loaded only by a check that forks
             try:
                 read_end, write_end = os.pipe()
             except OSError:
                 break
+            # no signal handler runs, and so raises, between the fork and
+            # the record of the child that the cleanup below reaps
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          signal.valid_signals())
             try:
                 pid = os.fork()
+                if pid:
+                    children[first] = pid, read_end
+                    os.close(write_end)
             except OSError:
                 os.close(read_end)
                 os.close(write_end)
                 break
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if pid == 0:
-                try:
-                    data = marshal.dumps(
-                        _check_range(phi, proof, cap, first, last))
-                    while data:
-                        data = data[os.write(write_end, data):]
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_end)
-            children[first] = pid, read_end
+                data = marshal.dumps(
+                    _check_range(phi, proof, cap, first, last))
+                while data:
+                    data = data[os.write(write_end, data):]
+                os._exit(0)
         for first, last in ranges:
             if results and results[-1][0] is not None:
                 break
@@ -1016,6 +1018,9 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
                 result = _check_range(phi, proof, cap, first, last)
             results.append(result)
     finally:
+        if os.getpid() != caller:
+            # a child leaves by os._exit alone, whatever it raised
+            os._exit(1)
         for pid, read_end in children.values():
             os.close(read_end)
             # a pid this process no longer waits for is not touched
@@ -1030,28 +1035,23 @@ def check_proof(phi, proof, cap=DEFAULT_CHECK_CAP):
 
 def _ranges(proof):
     """Contiguous ranges (first, last) of a proof's line numbers, at most
-    one per CPU this process may run on, split by the payload bytes the
-    lines read: to within a line, the first range reads FIRST_SHARE
-    shares and each other range one share, of at least SPLIT_FLOOR bytes.
-    One range where the platform reports no CPU set, or while a second
-    thread runs: a fork copies the calling thread alone."""
+    one per CPU this process may run on, each reading to within a line an
+    equal share, of at least SPLIT_FLOOR bytes, of the payload bytes the
+    lines read.  One range where the platform reports no CPU set, or
+    while a second thread runs: a fork copies the calling thread alone."""
     diagrams = proof.diagrams
     weights = [sum(len(diagrams[did][1]) for did in _reads(proof, line)
                    if did in diagrams) for line in proof.lines]
     total = sum(weights)
     count = 1
     if hasattr(os, "sched_getaffinity") and len(sys._current_frames()) == 1:
-        count = len(os.sched_getaffinity(0))
-        if SPLIT_FLOOR:
-            # each range after the first reads total / shares bytes
-            count = min(count, int(total / SPLIT_FLOOR - FIRST_SHARE) + 1)
-    # the first range, the calling process's, counts as FIRST_SHARE ranges
-    shares = count - 1 + FIRST_SHARE
+        count = max(1, min(len(os.sched_getaffinity(0)),
+                           total // SPLIT_FLOOR))
     ranges, first, read = [], 1, 0
     for n, weight in enumerate(weights[:-1], 1):
         read += weight
         if len(ranges) + 1 < count \
-                and read * shares >= total * (len(ranges) + FIRST_SHARE):
+                and read * count >= total * (len(ranges) + 1):
             ranges.append((first, n))
             first = n + 1
     ranges.append((first, len(weights)))

@@ -4,8 +4,8 @@ check_proof splits a proof's lines into contiguous ranges, one per CPU
 the process may run on, and checks each range after the first in a
 forked child.  The earliest failing line wins and the stats sum the
 lines before it.  Here the CPU set is patched to 2, 3 and 4 CPUs with
-SPLIT_FLOOR at 0, so that even small proofs split, and every proof gets
-the verdict, failing line, reason and stats of a one-CPU check: proofs
+SPLIT_FLOOR at 1 byte, so that even small proofs split, and every proof
+gets the verdict, failing line, reason and stats of a one-CPU check: proofs
 of random small CNFs from every producer in all three formats, their
 mutants, and the benchmark's two mutants of an OBDD, an SDD and a
 d-SDNNF refutation, a join diagram altered in the first, a middle and
@@ -46,7 +46,7 @@ def checked(phi, proof, cpus):
                       lambda pid: set(range(cpus)))
         patch.setattr(os, "fork", lambda: forks.append(1) or fork())
         if cpus > 1:
-            patch.setattr(proofs, "SPLIT_FLOOR", 0)
+            patch.setattr(proofs, "SPLIT_FLOOR", 1)
         ranges = proofs._ranges(proof)
         verdict = check_proof(phi, proof).to_json()
     return verdict, ranges, len(forks)
@@ -178,7 +178,7 @@ def altered(text, fmt, lines, seed=1):
 def ranges_of(proof, cpus):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(proofs, "SPLIT_FLOOR", 0)
+        patch.setattr(proofs, "SPLIT_FLOOR", 1)
         return proofs._ranges(proof)
 
 
@@ -233,11 +233,9 @@ def test_ranges_are_balanced_by_payload_bytes_and_cover_every_line():
         assert len(ranges) == cpus
         assert ranges[0][0] == 1 and ranges[-1][1] == len(proof.lines)
         assert all(a[1] + 1 == b[0] for a, b in zip(ranges, ranges[1:]))
-        # the first range, the caller's, counts FIRST_SHARE times
-        share = sum(weights) / (cpus - 1 + proofs.FIRST_SHARE)
-        for k, (first, last) in enumerate(ranges):
-            wanted = share * (proofs.FIRST_SHARE if k == 0 else 1)
-            assert abs(sum(weights[first - 1:last]) - wanted) < max(weights)
+        share = sum(weights) / cpus
+        for first, last in ranges:
+            assert abs(sum(weights[first - 1:last]) - share) < max(weights)
 
 
 def test_only_a_proof_past_the_floor_is_split():
@@ -257,7 +255,7 @@ def test_only_a_proof_past_the_floor_is_split():
     # the floor; a range reads its share to within a line
     weights = [sum(len(eq.diagrams[did][1])
                    for did in proofs._reads(eq, line)) for line in eq.lines]
-    share = sum(weights) / (len(ranges) - 1 + proofs.FIRST_SHARE)
+    share = sum(weights) / len(ranges)
     assert 2 < len(ranges) < 64 and share >= proofs.SPLIT_FLOOR
-    for first, last in ranges[1:]:
+    for first, last in ranges:
         assert sum(weights[first - 1:last]) > share - max(weights)
