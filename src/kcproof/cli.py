@@ -9,6 +9,7 @@ schemas/run-report.json); validate_report checks a report against it.
 
 import argparse
 import json
+import re
 import signal
 import sys
 import time
@@ -237,12 +238,18 @@ def _diagram_size(fmt, d):
 
 # -------------------------------------------------------------- proof files
 
+# the runs of characters between the line breaks str.splitlines knows
+_LINE_TEXT = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def _read_proof(path):
     """The kcp Proof or the ResolutionProof in a proof file, told apart by
-    its first line that is not a comment."""
+    its first line that is not a comment.  The lines before it are found
+    one at a time, so no list of every line is alive while the proof's
+    parser splits the text."""
     text = _read_text(path)
-    for raw in text.splitlines():
-        line = raw.strip()
+    for match in _LINE_TEXT.finditer(text):
+        line = match.group().strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         if line.startswith("p kcp"):

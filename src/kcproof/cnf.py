@@ -1,5 +1,5 @@
-"""CNF formulas: DIMACS I/O, restriction, brute-force oracles over truth-table
-bitmasks, primal graphs, and min-fill tree decompositions.
+"""CNF formulas: DIMACS I/O, restriction, primal graphs, and min-fill tree
+decompositions.
 
 Variables are the positive integers 1..n (DIMACS convention); a literal is a
 nonzero integer whose sign is its polarity.  Graph vertices are 0-based; the
@@ -15,7 +15,6 @@ Literal = int
 Clause = Tuple[int, ...]
 Assignment = Dict[int, int]  # variable -> 0 or 1
 
-DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_CHECK_CAP = 10 ** 7  # gate pairs a proof check tests at most
 
 
@@ -172,106 +171,6 @@ def restriction_map(phi: CnfFormula, a: Assignment) -> Dict[int, Optional[int]]:
             mapping[old_index] = new_index
             new_index += 1
     return mapping
-
-
-# ------------------------------------------------- truth-table bitmask oracle
-#
-# An n-variable function is a 2^n-bit integer: bit r is the value under the
-# assignment where variable i takes bit (i-1) of r.  AND/OR/NOT of functions
-# are the integer bitwise operations, and model counting is popcount.
-
-def var_mask(var: int, num_vars: int) -> int:
-    """Truth-table bits of the function 'variable var' over num_vars variables."""
-    if not (1 <= var <= num_vars):
-        raise CnfError("variable %d out of range 1..%d" % (var, num_vars))
-    half = 1 << (var - 1)
-    block = ((1 << half) - 1) << half  # ones in the upper half of one period
-    width = half << 1
-    total = 1 << num_vars
-    while width < total:
-        block |= block << width
-        width <<= 1
-    return block
-
-
-def full_mask(num_vars: int) -> int:
-    return (1 << (1 << num_vars)) - 1
-
-
-def clause_mask(clause: Clause, num_vars: int) -> int:
-    mask = 0
-    ones = full_mask(num_vars)
-    for lit in clause:
-        vm = var_mask(abs(lit), num_vars)
-        mask |= vm if lit > 0 else (ones ^ vm)
-    return mask
-
-
-def formula_mask(phi: CnfFormula, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> int:
-    if phi.num_vars > cap:
-        raise CapExceeded("%d variables exceeds brute-force cap %d"
-                          % (phi.num_vars, cap))
-    mask = full_mask(phi.num_vars)
-    for clause in phi.clauses:
-        mask &= clause_mask(clause, phi.num_vars)
-        if mask == 0:
-            break
-    return mask
-
-
-def brute_force_models(phi: CnfFormula, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> int:
-    """Exact model count over all num_vars variables."""
-    return formula_mask(phi, cap).bit_count()
-
-
-def all_models(phi: CnfFormula, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> List[Assignment]:
-    """Every satisfying total assignment, in row order."""
-    mask = formula_mask(phi, cap)
-    out = []
-    row = 0
-    while mask:
-        trailing = (mask & -mask).bit_length() - 1
-        row = trailing
-        out.append(row_assignment(row, phi.num_vars))
-        mask &= mask - 1
-    return out
-
-
-def row_assignment(row: int, num_vars: int) -> Assignment:
-    return {var: (row >> (var - 1)) & 1 for var in range(1, num_vars + 1)}
-
-
-def is_minimally_unsat(phi: CnfFormula, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> bool:
-    """Unsatisfiable, and deleting any single clause restores satisfiability."""
-    if phi.num_vars > cap:
-        raise CapExceeded("%d variables exceeds brute-force cap %d"
-                          % (phi.num_vars, cap))
-    m = phi.num_clauses
-    if m == 0:
-        return False
-    masks = [clause_mask(c, phi.num_vars) for c in phi.clauses]
-    ones = full_mask(phi.num_vars)
-    prefix = [ones]
-    for cm in masks:
-        prefix.append(prefix[-1] & cm)
-    if prefix[m] != 0:
-        return False
-    suffix = [ones] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & masks[i]
-    return all(prefix[i] & suffix[i + 1] != 0 for i in range(m))
-
-
-# ------------------------------------------------------------------- profile
-
-def kl_profile(phi: CnfFormula) -> Tuple[int, int]:
-    """(max clause width, max number of clauses any one variable occurs in)."""
-    width = max((len(c) for c in phi.clauses), default=0)
-    occurrences: Dict[int, int] = {}
-    for clause in phi.clauses:
-        for lit in clause:
-            occurrences[abs(lit)] = occurrences.get(abs(lit), 0) + 1
-    return width, max(occurrences.values(), default=0)
 
 
 # -------------------------------------------------------------------- graphs

@@ -9,8 +9,7 @@ creation order and never reused; collect frees the nodes that no given
 root reaches, and a freed id's slot holds None.
 """
 
-from .structure import (StructureError, order_to_text, parse_order,
-                        single_variable_move)
+from .structure import StructureError, order_to_text, parse_order
 
 
 class ObddError(Exception):
@@ -311,20 +310,12 @@ def obdd_apply(op, d1, d2):
     return ObddRef(d1.store, d1.store.apply(op, d1.node, d2.node))
 
 
-def obdd_negate(d):
-    return ObddRef(d.store, d.store.negate(d.node))
-
-
 def obdd_restrict(d, assignment):
     return ObddRef(d.store, d.store.restrict(d.node, assignment))
 
 
 def obdd_count(d, over):
     return d.store.count(d.node, over)
-
-
-def obdd_is_unsat(d):
-    return d.node == d.store.FALSE
 
 
 def obdd_entails(d1, d2):
@@ -338,10 +329,6 @@ def obdd_equal(d1, d2):
     if d1.store.order != d2.store.order:
         raise ObddError("equality requires a common order")
     return migrate(d1.store, d2).node == d1.node
-
-
-def obdd_support(d):
-    return d.store.support(d.node)
 
 
 def obdd_size(d):
@@ -365,47 +352,6 @@ def migrate(target, d):
     return ObddRef(target, _rebuild(src, target, d.node,
                                     {src.FALSE: target.FALSE,
                                      src.TRUE: target.TRUE}))
-
-
-def obdd_move_var(d, x, pos):
-    """The same function, canonical under the order where x moved to pos.
-
-    Realized by the two restrictions on x recombined in a fresh store, so the
-    result is correct by construction rather than by node surgery.
-    """
-    store = d.store
-    if x not in store.level:
-        raise ObddError("variable %d not in order" % x)
-    new_order = single_variable_move(store.order, x, pos)
-    target = ObddStore(new_order)
-    zero = migrate(target, obdd_restrict(d, {x: 0}))
-    one = migrate(target, obdd_restrict(d, {x: 1}))
-    x_ref = obdd_literal(target, x)
-    return obdd_apply(
-        "or",
-        obdd_apply("and", obdd_negate(x_ref), zero),
-        obdd_apply("and", x_ref, one))
-
-
-def obdd_truth_mask(d, num_vars):
-    """Truth-table bitmask of the diagram over variables 1..num_vars,
-    in the row convention of cnf.var_mask."""
-    from .cnf import var_mask, full_mask
-
-    store = d.store
-    ones = full_mask(num_vars)
-    memo = {store.FALSE: 0, store.TRUE: ones}
-
-    def rec(t):
-        if t in memo:
-            return memo[t]
-        var, lo, hi = store.nodes[t]
-        vm = var_mask(var, num_vars)
-        result = ((ones ^ vm) & rec(lo)) | (vm & rec(hi))
-        memo[t] = result
-        return result
-
-    return rec(d.node)
 
 
 # -------------------------------------------------------------- serialization

@@ -174,6 +174,7 @@ class Proof:
         self.lines = []
         self._structure_ids = {}
         self._diagram_ids = {}
+        self._diagrams_seen = 0  # diagrams the id table was built from
 
     def add_structure(self, value):
         backend = BACKENDS[self.system.format]
@@ -190,17 +191,19 @@ class Proof:
     def add_diagram(self, sid, payload):
         if sid not in self.structures:
             raise ProofError("diagram names unknown structure %d" % sid)
-        if len(self._diagram_ids) != len(self.diagrams):
-            # the parser fills no table: a parsed proof builds it when
-            # extended, the last of equal diagrams keeping its id
+        if self._diagrams_seen != len(self.diagrams):
+            # the parser fills no table: a parsed proof builds it once,
+            # when first extended, the last of equal diagrams keeping its id
             self._diagram_ids = {key: did
                                  for did, key in self.diagrams.items()}
+            self._diagrams_seen = len(self.diagrams)
         key = (sid, payload)
         if key in self._diagram_ids:
             return self._diagram_ids[key]
         did = len(self.diagrams) + 1
         self.diagrams[did] = (sid, payload)
         self._diagram_ids[key] = did
+        self._diagrams_seen = did
         return did
 
     def _append(self, line):

@@ -469,23 +469,11 @@ def sdd_from_clause(store, clause):
     return acc
 
 
-def sdd_from_term(store, assignment):
-    acc = sdd_const(store, True)
-    for var in sorted(assignment):
-        lit = var if assignment[var] else -var
-        acc = sdd_apply("and", acc, sdd_literal(store, lit))
-    return acc
-
-
 # ---------------------------------------------------------------- operations
 
 def sdd_apply(op, d1, d2):
     _same_store(d1, d2)
     return SddRef(d1.store, d1.store.apply(op, d1.node, d2.node))
-
-
-def sdd_negate(d):
-    return SddRef(d.store, d.store.negate(d.node))
 
 
 def sdd_restrict(d, assignment):
@@ -495,10 +483,6 @@ def sdd_restrict(d, assignment):
 def sdd_is_false(d):
     """Syntactic: is this the canonical constant-false diagram."""
     return d.node == d.store.false_at("")
-
-
-def sdd_is_unsat(d):
-    return d.store.count(d.node) == 0
 
 
 def sdd_count(d, over):
@@ -534,10 +518,6 @@ def sdd_entails(d1, d2):
 
 def sdd_size(d):
     return d.store.size(d.node)
-
-
-def sdd_mentioned_vars(d):
-    return d.store.mentioned_vars(d.node)
 
 
 def rebind(target, d):
@@ -698,50 +678,6 @@ def _copy(target, descriptor, path, mapped):
     return target.atom((descriptor[0], path) + descriptor[2:])
 
 
-def sdd_truth_mask(d, num_vars):
-    """Truth-table bitmask over variables 1..num_vars (test oracle hook)."""
-    from .cnf import var_mask, full_mask
-
-    store = d.store
-    ones = full_mask(num_vars)
-    memo = {}
-
-    def rec(t):
-        if t in memo:
-            return memo[t]
-        descriptor = store.nodes[t]
-        if descriptor[0] == "lit":
-            vm = var_mask(abs(descriptor[2]), num_vars)
-            result = vm if descriptor[2] > 0 else ones ^ vm
-        elif descriptor[0] == "true":
-            result = ones
-        elif descriptor[0] == "false":
-            result = 0
-        else:
-            result = 0
-            for prime, sub in descriptor[2]:
-                result |= rec(prime) & rec(sub)
-        memo[t] = result
-        return result
-
-    return rec(d.node)
-
-
-# --------------------------------------------------------------- compilation
-
-def sdd_compile_cnf(phi, store):
-    """Clause-by-clause left-fold conjunction of phi inside the store.
-
-    Returns (final diagram, trace) as kcproof.refute.fold_trace does: the
-    trace is a list of steps ("init", clause_index, ref) and
-    ("join", i, j, ref) with i, j indexing earlier steps.
-    """
-    # both modules import this one
-    from .proofs import BACKENDS
-    from .refute import fold_trace
-    return fold_trace(BACKENDS["sdd"], store, phi.clauses)
-
-
 # -------------------------------------------------------------- serialization
 
 def sdd_to_lines(d):
@@ -802,29 +738,26 @@ def sdd_from_lines(store, lines):
     """Rebuild a diagram from statements, validating the partition property
     of every decision node bottom-up."""
     ids = {}
-
-    def lookup(token):
-        if token not in ids:
-            raise SddError("reference to undefined node %r" % token)
-        return ids[token]
-
     root = None
     for line in lines:
-        parts = line.split()
+        # one split per statement: a decision's elements stay one field,
+        # and an atom's kind and literal are the words of its last field
+        parts = line.split(None, 3)
         if not parts:
             continue
         if parts[0] == "a":
-            if len(parts) == 4 and parts[3] in ("true", "false"):
-                label, path_text, kind = parts[1], parts[2], parts[3]
+            atom = parts[3].split() if len(parts) == 4 else []
+            if atom in (["true"], ["false"]):
+                label, path_text, kind = parts[1], parts[2], atom[0]
                 path = parse_path(path_text)
                 if path not in store.paths:
                     raise SddError("unknown vtree path %r" % path_text)
                 node = store.true_at(path) if kind == "true" else store.false_at(path)
-            elif len(parts) == 5 and parts[3] == "lit":
+            elif len(atom) == 2 and atom[0] == "lit":
                 label, path_text = parts[1], parts[2]
                 path = parse_path(path_text)
                 try:
-                    lit = int(parts[4])
+                    lit = int(atom[1])
                 except ValueError:
                     raise SddError("bad literal in %r" % line)
                 node = store.literal(lit)
@@ -836,10 +769,9 @@ def sdd_from_lines(store, lines):
                 raise SddError("node label %r reused" % label)
             ids[label] = node
         elif parts[0] == "s":
-            fields = line.split(None, 3)
-            if len(fields) != 4:
+            if len(parts) != 4:
                 raise SddError("malformed decision statement %r" % line)
-            label, path_text = fields[1], fields[2]
+            label, path_text = parts[1], parts[2]
             if label in ids:
                 raise SddError("node label %r reused" % label)
             path = parse_path(path_text)
@@ -848,7 +780,7 @@ def sdd_from_lines(store, lines):
                 raise SddError("decision node at non-internal path %r" % path_text)
             left, right = children
             elements = []
-            for chunk in fields[3].split(")"):
+            for chunk in parts[3].split(")"):
                 chunk = chunk.strip()
                 if not chunk:
                     continue
@@ -857,7 +789,11 @@ def sdd_from_lines(store, lines):
                 pair = chunk[1:].split()
                 if len(pair) != 2:
                     raise SddError("malformed element %r" % chunk)
-                elements.append((lookup(pair[0]), lookup(pair[1])))
+                element = (ids.get(pair[0]), ids.get(pair[1]))
+                if None in element:
+                    raise SddError("reference to undefined node %r"
+                                   % pair[element.index(None)])
+                elements.append(element)
             if not elements:
                 raise SddError("decision node with no elements in %r" % line)
             for prime, sub in elements:
@@ -876,7 +812,9 @@ def sdd_from_lines(store, lines):
         elif parts[0] == "root":
             if len(parts) != 2 or root is not None:
                 raise SddError("malformed root statement %r" % line)
-            root = lookup(parts[1])
+            root = ids.get(parts[1])
+            if root is None:
+                raise SddError("reference to undefined node %r" % parts[1])
         else:
             raise SddError("unknown statement %r" % line)
     if root is None:

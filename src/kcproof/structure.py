@@ -99,12 +99,6 @@ def right_linear_order(tree: Vtree) -> Optional[VarOrder]:
     return tuple(order)
 
 
-def validate_vtree(tree: Vtree, variables) -> bool:
-    # full binary shape and leaf disjointness are enforced by the constructor;
-    # what remains is the bijection onto the requested variable set
-    return tree.variables == frozenset(variables)
-
-
 # ----------------------------------------------------------------- addressing
 
 def resolve_path(tree: Vtree, path: str) -> Vtree:
@@ -182,17 +176,6 @@ def move(tree: Vtree, var: int, w_path: str, direction: str) -> Vtree:
     leaf = vtree_leaf(var)
     pair = vtree_node(leaf, w) if direction == "l" else vtree_node(w, leaf)
     return _replace(remainder, w_path, pair)
-
-
-def single_variable_move(order: VarOrder, var: int, pos: int) -> VarOrder:
-    """Remove var from the order and reinsert it at index pos."""
-    if var not in order:
-        raise StructureError("variable %d not in order" % var)
-    rest = [v for v in order if v != var]
-    if not (0 <= pos <= len(rest)):
-        raise StructureError("position %d out of range" % pos)
-    rest.insert(pos, var)
-    return tuple(rest)
 
 
 def order_move_of_vtree_move(tree: Vtree, var: int, w_path: str,

@@ -15,10 +15,7 @@ sys.path.insert(0, "src")
 
 from kcproof.cnf import (
     cnf,
-    brute_force_models,
     restrict_cnf,
-    is_minimally_unsat,
-    kl_profile,
     primal_graph,
     tree_decomposition,
 )
@@ -36,20 +33,15 @@ from kcproof.obdd import (
     ObddStore,
     obdd_apply,
     obdd_from_clause,
-    obdd_is_unsat,
-    obdd_negate,
     obdd_restrict,
     obdd_size,
-    obdd_truth_mask,
 )
 from kcproof.sdd import (
     SddStore,
     rebind,
     sdd_apply,
     sdd_from_clause,
-    sdd_negate,
     sdd_size,
-    sdd_truth_mask,
 )
 from kcproof.dsdnnf import (
     dsdnnf_count,
@@ -80,6 +72,9 @@ from kcproof.refute import (
     treewidth_refute,
 )
 from kcproof.resolution import check_resolution
+from oracles import (brute_force_models, is_minimally_unsat, kl_profile,
+                     obdd_is_unsat, obdd_negate, obdd_truth_mask, sdd_negate,
+                     sdd_truth_mask)
 
 PHI0 = cnf(1, [(1,), (-1,)])
 

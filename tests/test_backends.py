@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof import cli
-from kcproof.cnf import CnfFormula, brute_force_models, formula_mask
+from kcproof.cnf import CnfFormula
 from kcproof.proofs import BACKENDS, check_proof
 from kcproof.refute import fold_trace, naive_conjoin_refute
 from kcproof.structure import vtree_leaf, vtree_node
+from oracles import brute_force_models, formula_mask
 
 
 def mask(num_vars, clauses):

@@ -10,10 +10,9 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import full_mask, var_mask
 from kcproof.proofs import proof_to_text
 from kcproof.refute import treewidth_refute
-from kcproof.sdd import SddStore, sdd_literal, sdd_truth_mask
+from kcproof.sdd import SddStore, sdd_literal
 from kcproof.structure import (
     move,
     node_table,
@@ -24,6 +23,7 @@ from kcproof.structure import (
     vtree_to_text,
 )
 from kcproof.zoo import grid_family, vc_formula
+from oracles import full_mask, sdd_truth_mask, var_mask
 
 # proof_to_text(treewidth_refute(vc_formula(grid_family(2, 2)))[0]) before
 # the caches existed

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof import cli
-from kcproof.cnf import brute_force_models, cnf, parse_dimacs, to_dimacs
+from kcproof.cnf import cnf, parse_dimacs, to_dimacs
 from kcproof.zoo import eq_formula, lift_C, lift_Z
+from oracles import brute_force_models
 
 PHI_CONTRA = cnf(1, [(1,), (-1,)])
 PHI_TWO_MODELS = cnf(2, [(1, 2), (-1, -2)])

@@ -8,11 +8,7 @@ from kcproof.cnf import (
     CnfError,
     CapExceeded,
     CnfFormula,
-    all_models,
-    brute_force_models,
     cnf,
-    is_minimally_unsat,
-    kl_profile,
     mk_clause,
     mk_graph,
     parse_dimacs,
@@ -22,8 +18,9 @@ from kcproof.cnf import (
     to_dimacs,
     tree_decomposition,
     validate_decomposition,
-    var_mask,
 )
+from oracles import (all_models, brute_force_models, is_minimally_unsat,
+                     kl_profile, var_mask)
 
 
 # Independent oracle used to pin expected counts: evaluates clauses literally

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import CapExceeded, cnf, formula_mask
+from kcproof.cnf import CapExceeded, cnf
 from kcproof.dsdnnf import (
     Circuit,
     DsdnnfError,
@@ -30,6 +30,7 @@ from kcproof.dsdnnf import (
 from kcproof.obdd import ObddStore, obdd_apply, obdd_const, obdd_from_clause, obdd_literal
 from kcproof.sdd import SddStore, sdd_apply, sdd_const, sdd_from_clause, sdd_literal
 from kcproof.structure import parse_vtree, right_linear_vtree, vtree_leaf, vtree_node
+from oracles import formula_mask
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 MAJ_VTREE = parse_vtree("((x1 x2) x3)")

@@ -17,9 +17,9 @@ from kcproof.cnf import CnfFormula
 from kcproof.dsdnnf import clause_circuit, sdd_to_dsdnnf
 from kcproof.proofs import (BACKENDS, Proof, ProofSystem, _Backend,
                             check_proof, diagram_payload)
-from kcproof.sdd import (SddStore, sdd_apply, sdd_const, sdd_from_clause,
-                         sdd_from_term)
+from kcproof.sdd import SddStore, sdd_apply, sdd_const, sdd_from_clause
 from kcproof.structure import vtree_leaf, vtree_node
+from oracles import sdd_from_term
 
 MISMATCH = "init diagram does not match clause 0"
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import brute_force_models, cnf
+from kcproof.cnf import cnf
 from kcproof.dsdnnf import (circuit_from_lines, dsdnnf_equiv, sdd_to_dsdnnf,
                             validate_deterministic, validate_structured)
 from kcproof.proofs import check_proof
@@ -21,6 +21,7 @@ from kcproof.refute import naive_conjoin_refute
 from kcproof.sdd import SddStore, sdd_from_lines
 from kcproof.structure import right_linear_vtree, vtree_leaf, vtree_node
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import brute_force_models
 
 # largest line of the fold of lift_Z(vc-path L) over the right-linear vtree
 # on 1..n; the product route reached 1,070, 3,735 and 7,547 gates

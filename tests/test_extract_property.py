@@ -11,13 +11,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcproof.cnf import brute_force_models, cnf
+from kcproof.cnf import cnf
 from kcproof.proofs import BACKENDS, backend_of
 from kcproof.refute import (compilation_to_refutation, extract_representation,
                             fold_trace, naive_conjoin_refute, obdd_refute_eq,
                             treewidth_refute)
 from kcproof.structure import right_linear_vtree
 from kcproof.zoo import eq_formula, lift_C, lift_Z
+from oracles import brute_force_models
 
 
 def natural(lifted, fmt):

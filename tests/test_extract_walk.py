@@ -4,11 +4,12 @@ lines."""
 
 import pytest
 
-from kcproof.cnf import all_models, cnf
-from kcproof.obdd import obdd_is_unsat, obdd_restrict
+from kcproof.cnf import cnf
+from kcproof.obdd import obdd_restrict
 from kcproof.proofs import check_proof, parse_proof, proof_to_text
 from kcproof.refute import extract_representation, naive_conjoin_refute
 from kcproof.zoo import lift_Z
+from oracles import all_models, obdd_is_unsat
 
 PHI_TWO_MODELS = cnf(2, [(1, 2), (-1, -2)])
 

@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import cnf, formula_mask
+from kcproof.cnf import cnf
 from kcproof.proofs import Proof, ProofSystem, check_proof, diagram_payload
 from kcproof.refute import fold_backend, fold_trace, naive_conjoin_refute
 from kcproof.sdd import (SddError, SddStore, drop_leaf, rebind, sdd_apply,
-                         sdd_count, sdd_from_clause, sdd_literal,
-                         sdd_restrict, sdd_truth_mask)
+                         sdd_count, sdd_from_clause, sdd_literal, sdd_restrict)
 from kcproof.structure import (StructureError, move, node_table,
                                order_move_of_vtree_move, remove_leaf,
                                right_linear_vtree, vtree_leaf, vtree_node)
 from kcproof.zoo import random_regular, tseitin
+from oracles import formula_mask, sdd_truth_mask
 
 MOVE_REJECTED = "move count equations fail"
 NOT_FALSE = "final line is not the constant-false diagram"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import cnf, formula_mask, full_mask
+from kcproof.cnf import cnf
 from kcproof.obdd import (
     ObddError,
     ObddStore,
@@ -14,19 +14,16 @@ from kcproof.obdd import (
     obdd_equal,
     obdd_from_clause,
     obdd_from_lines,
-    obdd_is_unsat,
     obdd_literal,
-    obdd_move_var,
-    obdd_negate,
     obdd_restrict,
     obdd_size,
-    obdd_support,
     obdd_to_lines,
     obdd_to_text,
     obdd_total_size,
-    obdd_truth_mask,
     parse_obdd,
 )
+from oracles import (formula_mask, full_mask, obdd_is_unsat, obdd_move_var,
+                     obdd_negate, obdd_support, obdd_truth_mask)
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import full_mask, var_mask
-from kcproof.obdd import ObddRef, ObddStore, obdd_from_clause, obdd_truth_mask
+from kcproof.obdd import ObddRef, ObddStore, obdd_from_clause
+from oracles import full_mask, obdd_truth_mask, var_mask
 
 
 @st.composite

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import full_mask, var_mask
 from kcproof.obdd import (
     ObddError,
     ObddRef,
@@ -21,7 +20,6 @@ from kcproof.obdd import (
     obdd_from_lines,
     obdd_literal,
     obdd_to_lines,
-    obdd_truth_mask,
 )
 from kcproof.cnf import cnf
 from kcproof.proofs import (
@@ -34,6 +32,7 @@ from kcproof.proofs import (
 from kcproof.refute import obdd_refute_eq, resolution_refute_lifted
 from kcproof.resolution import resolution_to_obddw
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import full_mask, obdd_truth_mask, var_mask
 
 # SHA-256 of the proof texts before the level table and the per-operation
 # apply workers existed

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcproof.cnf import (
-    brute_force_models,
     cnf,
-    formula_mask,
     restrict_cnf,
 )
 from kcproof.structure import (
@@ -19,15 +17,12 @@ from kcproof.structure import (
     order_move_of_vtree_move,
     parse_vtree,
     right_linear_vtree,
-    single_variable_move,
 )
 from kcproof.obdd import (
     ObddStore,
     obdd_apply,
     obdd_const,
     obdd_from_clause,
-    obdd_move_var,
-    obdd_negate,
     migrate,
 )
 from kcproof.sdd import SddStore, rebind, sdd_apply, sdd_from_clause
@@ -49,6 +44,8 @@ from kcproof.resolution import (
     resolution_to_obddw,
     resolution_to_text,
 )
+from oracles import (brute_force_models, formula_mask, obdd_move_var,
+                     obdd_negate, single_variable_move)
 
 PHI_UNSAT_2 = cnf(2, [(1, 2), (-1,), (-2,)])
 PHI_CONTRA = cnf(1, [(1,), (-1,)])

@@ -15,11 +15,11 @@ from kcproof.cnf import cnf
 from kcproof.proofs import BACKENDS
 from kcproof.refute import fold_trace
 from kcproof.sdd import (SddError, SddStore, drop_leaf, insert_leaf, rebind,
-                         sdd_apply, sdd_const, sdd_from_clause, sdd_literal,
-                         sdd_mentioned_vars, sdd_negate, sdd_truth_mask)
+                         sdd_apply, sdd_const, sdd_from_clause, sdd_literal)
 from kcproof.structure import (StructureError, move, node_table, remove_leaf,
                                right_linear_vtree, vtree_leaf, vtree_node)
 from kcproof.zoo import random_regular, tseitin
+from oracles import sdd_mentioned_vars, sdd_negate, sdd_truth_mask
 
 
 @st.composite

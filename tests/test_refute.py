@@ -5,12 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcproof.cnf import CapExceeded, all_models, cnf
+from kcproof.cnf import CapExceeded, cnf
 from kcproof.structure import right_linear_vtree
 from kcproof.obdd import (ObddStore, obdd_apply, obdd_from_clause,
-                          obdd_is_unsat, obdd_restrict, obdd_total_size)
-from kcproof.sdd import (SddStore, sdd_compile_cnf, sdd_is_unsat,
-                         sdd_restrict, sdd_size)
+                          obdd_restrict, obdd_total_size)
+from kcproof.sdd import SddStore, sdd_restrict, sdd_size
 from kcproof.dsdnnf import (clause_circuit, dsdnnf_conjoin, dsdnnf_is_unsat,
                             dsdnnf_restrict)
 from kcproof.zoo import (LiftedFormula, eq_formula, grid_family, lift_C,
@@ -22,6 +21,7 @@ from kcproof.refute import (RefuteError, compilation_to_refutation,
                             obdd_refute_eq, resolution_refute_lifted,
                             treewidth_refute)
 from kcproof.resolution import check_resolution
+from oracles import all_models, obdd_is_unsat, sdd_compile_cnf, sdd_is_unsat
 
 PHI_CONTRA = cnf(1, [(1,), (-1,)])
 PHI_TWO_MODELS = cnf(2, [(1, 2), (-1, -2)])

@@ -2,33 +2,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import cnf, formula_mask, full_mask
+from kcproof.cnf import cnf
 from kcproof.sdd import (
     SddError,
     SddStore,
     parse_sdd,
     rebind,
     sdd_apply,
-    sdd_compile_cnf,
     sdd_const,
     sdd_count,
     sdd_entails,
     sdd_equal,
     sdd_from_clause,
     sdd_from_lines,
-    sdd_from_term,
     sdd_is_false,
-    sdd_is_unsat,
     sdd_literal,
-    sdd_mentioned_vars,
-    sdd_negate,
     sdd_restrict,
     sdd_size,
     sdd_to_lines,
     sdd_to_text,
-    sdd_truth_mask,
 )
 from kcproof.structure import parse_vtree, right_linear_vtree
+from oracles import (formula_mask, full_mask, sdd_compile_cnf, sdd_from_term,
+                     sdd_is_unsat, sdd_mentioned_vars, sdd_negate,
+                     sdd_truth_mask)
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 MAJ_VTREE = parse_vtree("((x1 x2) x3)")
@@ -174,7 +171,7 @@ class TestRestrict:
         store = SddStore(tree)
         d = compile_formula(store, phi)
         restricted = sdd_restrict(d, {var: int(value)})
-        from kcproof.cnf import var_mask
+        from oracles import var_mask
         vm = var_mask(var, phi.num_vars)
         ones = full_mask(phi.num_vars)
         base = sdd_truth_mask(d, phi.num_vars)

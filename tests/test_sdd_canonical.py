@@ -10,9 +10,9 @@ from kcproof.cnf import cnf
 from kcproof.proofs import BACKENDS
 from kcproof.refute import fold_trace
 from kcproof.sdd import (SddStore, drop_leaf, rebind, sdd_entails, sdd_equal,
-                         sdd_from_lines, sdd_negate, sdd_restrict,
-                         sdd_to_lines, sdd_truth_mask)
+                         sdd_from_lines, sdd_restrict, sdd_to_lines)
 from kcproof.structure import remove_leaf, vtree_leaf, vtree_node
+from oracles import sdd_negate, sdd_truth_mask
 
 
 @st.composite

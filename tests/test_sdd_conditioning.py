@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof import proofs
-from kcproof.cnf import CnfFormula, clause_mask, cnf, full_mask
+from kcproof.cnf import CnfFormula, cnf
 from kcproof.proofs import (BACKENDS, Proof, ProofSystem, _Backend,
                             check_proof, diagram_payload)
 from kcproof.refute import naive_conjoin_refute
 from kcproof.sdd import (SddError, SddRef, SddStore, sdd_const,
-                         sdd_from_clause, sdd_from_term, sdd_restrict,
-                         sdd_truth_mask)
+                         sdd_from_clause, sdd_restrict)
 from kcproof.structure import parse_vtree, vtree_leaf, vtree_node
+from oracles import clause_mask, full_mask, sdd_from_term, sdd_truth_mask
 
 SDD = BACKENDS["sdd"]
 

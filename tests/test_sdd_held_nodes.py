@@ -19,11 +19,11 @@ from kcproof.sdd import (
     sdd_apply,
     sdd_from_lines,
     sdd_literal,
-    sdd_negate,
     sdd_to_lines,
 )
 from kcproof.structure import parse_vtree, right_linear_vtree
 from kcproof.zoo import random_regular, tseitin
+from oracles import sdd_negate
 
 # proof_to_text(naive_conjoin_refute(tseitin_instance(), right-linear vtree
 # over 1..15)) before apply probed its memo first

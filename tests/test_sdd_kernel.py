@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from kcproof.cnf import cnf
 from kcproof.proofs import BACKENDS
 from kcproof.refute import fold_trace
-from kcproof.sdd import (SddError, SddStore, rebind, sdd_apply,
-                         sdd_count, sdd_literal, sdd_restrict, sdd_to_lines,
-                         sdd_truth_mask)
+from kcproof.sdd import (SddError, SddStore, rebind, sdd_apply, sdd_count,
+                         sdd_literal, sdd_restrict, sdd_to_lines)
 from kcproof.structure import (StructureError, move, node_table, parse_vtree,
                                remove_leaf, right_linear_vtree, vtree_leaf,
                                vtree_node)
 from kcproof.zoo import random_regular, tseitin
+from oracles import sdd_truth_mask
 
 
 class DictCompressStore(SddStore):

@@ -3,9 +3,9 @@ vtree builders, and the check cap that `kcp extract` honours.
 
 Node and gate ids are part of every proof's bytes, so the order in which
 the constants are built and the gates of a restricted d-SDNNF proof are
-pinned.  Only the two test oracles and the two d-SDNNF product loops,
-which release their self-reference before they return, may be nested
-functions that call themselves.
+pinned.  Only the two d-SDNNF product loops, which release their
+self-reference before they return, may be nested functions that call
+themselves.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ RESTRICT_SHA256 = \
     "b0610b2f840bbe52d8b96e3ca48002c7f4e01cc6c2e9c7639b831341b982e6fc"
 # self-calling nested functions allowed, by module
 SELF_CALLING = {
-    sdd: {"sdd_truth_mask.<locals>.rec"},
+    sdd: set(),
     dsdnnf: {"validate_deterministic.<locals>.pair_sat",
              "dsdnnf_conjoin.<locals>.prod"},
     structure: set(),

@@ -18,13 +18,12 @@ from kcproof.structure import (
     resolve_path,
     right_linear_order,
     right_linear_vtree,
-    single_variable_move,
-    validate_vtree,
     vtree_from_decomposition,
     vtree_leaf,
     vtree_node,
     vtree_to_text,
 )
+from oracles import single_variable_move, validate_vtree
 
 
 class TestRightLinear:

@@ -3,12 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcproof.cnf import (
-    all_models,
-    brute_force_models,
     cnf,
-    formula_mask,
-    is_minimally_unsat,
-    kl_profile,
     mk_graph,
     restrict_cnf,
 )
@@ -29,6 +24,8 @@ from kcproof.zoo import (
     tseitin,
     vc_formula,
 )
+from oracles import (all_models, brute_force_models, formula_mask,
+                     is_minimally_unsat, kl_profile)
 
 PHI0 = cnf(1, [[1], [-1]])
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
