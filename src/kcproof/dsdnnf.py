@@ -660,15 +660,18 @@ def circuit_to_lines(circuit):
     """The gate and root lines; circuit_to_text adds the vtree line."""
     lines = []
     for i, gate in enumerate(circuit.gates):
-        if gate[0] == "lit":
-            lines.append("g %d LIT %d" % (i, gate[1]))
-        elif gate[0] in ("true", "false"):
-            lines.append("g %d %s" % (i, gate[0].upper()))
+        kind = gate[0]
+        if kind == "and":
+            lines.append(f"g {i} AND {gate[1]} {gate[2]}")
+        elif kind == "or":
+            lines.append(f"g {i} OR {gate[1]} {gate[2]}")
+        elif kind == "lit":
+            lines.append(f"g {i} LIT {gate[1]}")
         else:
-            lines.append("g %d %s %d %d" % (i, gate[0].upper(), gate[1], gate[2]))
+            lines.append(f"g {i} {kind.upper()}")
     if circuit.root is None:
         raise DsdnnfError("circuit has no root")
-    lines.append("root %d" % circuit.root)
+    lines.append(f"root {circuit.root}")
     return lines
 
 

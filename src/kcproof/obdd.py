@@ -336,11 +336,6 @@ def obdd_size(d):
     return sum(1 for u in d.store.reachable(d.node) if not d.store.is_terminal(u))
 
 
-def obdd_total_size(d):
-    """All reachable nodes, sinks included."""
-    return len(d.store.reachable(d.node))
-
-
 def migrate(target, d):
     """Rebuild d inside another store.  The target order must keep the
     relative order of d's support variables."""
@@ -372,7 +367,7 @@ def obdd_to_lines(d):
         else:
             stack.pop()
             name = names[t] = str(t)
-            lines.append("n %s %d %s %s" % (name, var, names[lo], names[hi]))
+            lines.append(f"n {name} {var} {names[lo]} {names[hi]}")
     lines.append("root " + names[d.node])
     return lines
 
@@ -380,11 +375,11 @@ def obdd_to_lines(d):
 def obdd_from_lines(store, lines, sized=False):
     """Rebuild a diagram from node statements; ids are file-local labels.
 
-    With sized, return the diagram and its obdd_total_size, counted by one
-    backward sweep over the parsed (id, lo, hi) triples from the root:
-    mk makes no node that no statement names, so every node the root
-    reaches is a sink or a statement's id, and a statement comes after
-    those of its children."""
+    With sized, return the diagram and its size, the nodes the root
+    reaches, sinks included.  One backward sweep over the parsed
+    (id, lo, hi) triples from the root counts them: mk makes no node that
+    no statement names, so every node the root reaches is a sink or a
+    statement's id, and a statement comes after those of its children."""
     ids = {"F": store.FALSE, "T": store.TRUE}
     mk = store.mk
     triples = []

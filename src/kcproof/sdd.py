@@ -685,6 +685,8 @@ def sdd_to_lines(d):
     root statement.  Writing may create a path's `true_at` or `false_at`
     node, since a decision node equal to one is written as that atom."""
     store = d.store
+    nodes, node_path = store.nodes, store.node_path
+    true_memo, false_memo = store._true_at, store._false_at
     lines = []
     emitted = set()
     stack = [d.node]  # nodes to write, and decision lines due after theirs
@@ -696,27 +698,40 @@ def sdd_to_lines(d):
         if t in emitted:
             continue
         emitted.add(t)
-        descriptor = store.nodes[t]
-        path_text = path_to_text(store.node_path[t])
-        if descriptor[0] == "dec":
-            if t == store.true_at(store.node_path[t]):
-                lines.append("a %d %s true" % (t, path_text))
-            elif t == store.false_at(store.node_path[t]):
-                lines.append("a %d %s false" % (t, path_text))
-            else:
-                elements = "".join("(%d %d)" % e for e in descriptor[2])
-                stack.append("s %d %s %s" % (t, path_text, elements))
-                # written nodes are skipped here only to keep the stack short
-                for prime, sub in reversed(descriptor[2]):
-                    if sub not in emitted:
-                        stack.append(sub)
-                    if prime not in emitted:
-                        stack.append(prime)
-        elif descriptor[0] == "lit":
-            lines.append("a %d %s lit %d" % (t, path_text, descriptor[2]))
-        else:
-            lines.append("a %d %s %s" % (t, path_text, descriptor[0]))
-    lines.append("root %d" % d.node)
+        descriptor = nodes[t]
+        kind = descriptor[0]
+        path = node_path[t]
+        path_text = path_to_text(path)
+        if kind == "lit":
+            lines.append(f"a {t} {path_text} lit {descriptor[2]}")
+            continue
+        if kind != "dec":
+            lines.append(f"a {t} {path_text} {kind}")
+            continue
+        # the store's true_at and false_at only on a memo miss, where they
+        # create the node
+        true_here = true_memo.get(path)
+        if true_here is None:
+            true_here = store.true_at(path)
+        if t == true_here:
+            lines.append(f"a {t} {path_text} true")
+            continue
+        false_here = false_memo.get(path)
+        if false_here is None:
+            false_here = store.false_at(path)
+        if t == false_here:
+            lines.append(f"a {t} {path_text} false")
+            continue
+        elements = descriptor[2]
+        pairs = "".join([f"({prime} {sub})" for prime, sub in elements])
+        stack.append(f"s {t} {path_text} {pairs}")
+        # written nodes are skipped here only to keep the stack short
+        for prime, sub in reversed(elements):
+            if sub not in emitted:
+                stack.append(sub)
+            if prime not in emitted:
+                stack.append(prime)
+    lines.append(f"root {d.node}")
     return lines
 
 

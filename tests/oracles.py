@@ -14,12 +14,13 @@ are the integer bitwise operations, and model counting is popcount.
 from typing import Dict, List, Tuple
 
 from kcproof.cnf import Assignment, CapExceeded, Clause, CnfError, CnfFormula
+from kcproof.dsdnnf import DsdnnfError
 from kcproof.obdd import (ObddError, ObddRef, ObddStore, migrate, obdd_apply,
                           obdd_literal, obdd_restrict)
 from kcproof.proofs import BACKENDS
 from kcproof.refute import fold_trace
 from kcproof.sdd import SddRef, sdd_apply, sdd_const, sdd_literal
-from kcproof.structure import StructureError, VarOrder, Vtree
+from kcproof.structure import StructureError, VarOrder, Vtree, path_to_text
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 
@@ -147,6 +148,11 @@ def obdd_is_unsat(d):
     return d.node == d.store.FALSE
 
 
+def obdd_total_size(d):
+    """Nodes the root reaches, sinks included."""
+    return len(d.store.reachable(d.node))
+
+
 def obdd_support(d):
     return d.store.support(d.node)
 
@@ -247,3 +253,79 @@ def sdd_compile_cnf(phi, store):
     ("join", i, j, ref) with i, j indexing earlier steps.
     """
     return fold_trace(BACKENDS["sdd"], store, phi.clauses)
+
+
+# ---------------------------------------------------------- payload writers
+# The package's writers as they were before each statement became one
+# f-string: the reference that every payload byte is compared with.
+
+def obdd_to_lines_reference(d):
+    nodes = d.store.nodes
+    lines = []
+    names = {ObddStore.FALSE: "F", ObddStore.TRUE: "T"}  # emitted so far
+    stack = [d.node] if d.node not in names else []
+    while stack:  # depth first, lo before hi, each node after its children
+        t = stack[-1]
+        var, lo, hi = nodes[t]
+        if lo not in names:
+            stack.append(lo)
+        elif hi not in names:
+            stack.append(hi)
+        else:
+            stack.pop()
+            name = names[t] = str(t)
+            lines.append("n %s %d %s %s" % (name, var, names[lo], names[hi]))
+    lines.append("root " + names[d.node])
+    return lines
+
+
+def sdd_to_lines_reference(d):
+    """Calls true_at and false_at on every decision node it writes."""
+    store = d.store
+    lines = []
+    emitted = set()
+    stack = [d.node]  # nodes to write, and decision lines due after theirs
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            lines.append(t)
+            continue
+        if t in emitted:
+            continue
+        emitted.add(t)
+        descriptor = store.nodes[t]
+        path_text = path_to_text(store.node_path[t])
+        if descriptor[0] == "dec":
+            if t == store.true_at(store.node_path[t]):
+                lines.append("a %d %s true" % (t, path_text))
+            elif t == store.false_at(store.node_path[t]):
+                lines.append("a %d %s false" % (t, path_text))
+            else:
+                elements = "".join("(%d %d)" % e for e in descriptor[2])
+                stack.append("s %d %s %s" % (t, path_text, elements))
+                for prime, sub in reversed(descriptor[2]):
+                    if sub not in emitted:
+                        stack.append(sub)
+                    if prime not in emitted:
+                        stack.append(prime)
+        elif descriptor[0] == "lit":
+            lines.append("a %d %s lit %d" % (t, path_text, descriptor[2]))
+        else:
+            lines.append("a %d %s %s" % (t, path_text, descriptor[0]))
+    lines.append("root %d" % d.node)
+    return lines
+
+
+def circuit_to_lines_reference(circuit):
+    lines = []
+    for i, gate in enumerate(circuit.gates):
+        if gate[0] == "lit":
+            lines.append("g %d LIT %d" % (i, gate[1]))
+        elif gate[0] in ("true", "false"):
+            lines.append("g %d %s" % (i, gate[0].upper()))
+        else:
+            lines.append("g %d %s %d %d" % (i, gate[0].upper(), gate[1], gate[2]))
+    if circuit.root is None:
+        raise DsdnnfError("circuit has no root")
+    lines.append("root %d" % circuit.root)
+    return lines

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from kcproof import proofs
 from kcproof.cnf import cnf, restrict_cnf
 from kcproof.obdd import (ObddStore, obdd_apply, obdd_from_clause,
-                          obdd_from_lines, obdd_to_lines, obdd_total_size)
+                          obdd_from_lines, obdd_to_lines)
 from kcproof.proofs import (BACKENDS, Proof, ProofSystem, check_proof,
                             diagram_payload, parse_proof, proof_to_text)
 from kcproof.refute import (compilation_to_refutation, fold_trace,
@@ -38,7 +38,7 @@ from kcproof.sdd import SddStore, rebind, sdd_apply, sdd_from_clause
 from kcproof.structure import (StructureError, move, node_table, remove_leaf,
                                right_linear_vtree)
 from kcproof.zoo import eq_formula, lift_C, lift_Z
-from oracles import obdd_move_var
+from oracles import obdd_move_var, obdd_total_size
 
 NEVER = (math.inf, 2)
 DEFAULT = (proofs.COLLECT_FLOOR, proofs.COLLECT_FACTOR)

@@ -19,11 +19,11 @@ from kcproof.obdd import (
     obdd_size,
     obdd_to_lines,
     obdd_to_text,
-    obdd_total_size,
     parse_obdd,
 )
 from oracles import (formula_mask, full_mask, obdd_is_unsat, obdd_move_var,
-                     obdd_negate, obdd_support, obdd_truth_mask)
+                     obdd_negate, obdd_support, obdd_total_size,
+                     obdd_truth_mask)
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 
