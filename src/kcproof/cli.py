@@ -459,7 +459,9 @@ def _cmd_extract(args):
     verdict = check_proof(phi, proof, args.cap)
     found, rejection, code = _outcome(verdict)
     if verdict.resource:
-        raise CapExceeded(verdict.reason)
+        # main prints the "resource cap exceeded: " the reason starts with
+        raise CapExceeded("line %d: %s" % (verdict.failing_line,
+                                           verdict.reason.partition(": ")[2]))
     fmt = proof.system.format
     parameters = {"formula": args.formula, "proof": args.proof,
                   "format": fmt, "var_cap": args.var_cap, "cap": args.cap}

@@ -61,9 +61,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def variables(self) -> List[int]:
-        return list(range(1, self.num_vars + 1))
-
 
 def cnf(num_vars: int, clauses: Iterable[Iterable[int]]) -> CnfFormula:
     """Build a formula, normalizing every clause through mk_clause."""

@@ -21,6 +21,7 @@ weakening-free proof conjoins.  Producers return proof objects; file
 output and stats sidecars are the command line's business.
 """
 
+from bisect import bisect_right
 from dataclasses import replace
 
 from .cnf import (DEFAULT_CHECK_CAP, CapExceeded, TreeDecomposition,
@@ -125,54 +126,9 @@ def naive_conjoin_refute(phi, structure, fmt=None):
 
 # ----------------------------------------------------------- chain liftings
 
-class _ChainLayout:
-    """Clause and variable indexing inside a chain lifting.
-
-    Clause order: the m augmented clauses, then per base clause i the
-    |C_i|+1 implication clauses (base literals first, control literal
-    last), then the chain start (z_1), then the chain end (~z_m+1).
-    """
-
-    def __init__(self, base):
-        self.m = base.num_clauses
-        self.n = base.num_vars
-        self.sizes = [len(clause) for clause in base.clauses]
-        starts = []
-        at = self.m
-        for size in self.sizes:
-            starts.append(at)
-            at += size + 1
-        self.starts = starts
-        self.z1_index = at
-        self.last_index = at + 1
-
-    def y(self, i):
-        return self.n + i
-
-    def z(self, i):
-        return self.n + self.m + i
-
-    def imp_index(self, i, t):
-        return self.starts[i - 1] + t
-
-    def block(self, index):
-        """(ell, t): the clause's block ell, 0 for the chain start and m+1
-        for its end, and for an implication clause the position t in
-        C_ell | y_ell of the literal it negates, else None."""
-        if index < self.m:
-            return index + 1, None
-        for i in range(1, self.m + 1):
-            offset = index - self.starts[i - 1]
-            if 0 <= offset <= self.sizes[i - 1]:
-                return i, offset
-        if index == self.z1_index:
-            return 0, None
-        if index == self.last_index:
-            return self.m + 1, None
-        raise RefuteError("clause index %d outside the lifting" % index)
-
-
 def _chain_layout(Z):
+    """lift_Z(Z.base), whose starts and variable numbers index the
+    lifting; refused unless Z is that lifting."""
     if not isinstance(Z, LiftedFormula):
         raise RefuteError("expected a lifted formula with a role map")
     try:
@@ -183,7 +139,7 @@ def _chain_layout(Z):
             or fresh.result.num_vars != Z.result.num_vars
             or fresh.roles != Z.roles):
         raise RefuteError("formula is not the chain lifting of its base")
-    return _ChainLayout(Z.base)
+    return fresh
 
 
 # ------------------------------------------------------ resolution refuter
@@ -196,7 +152,8 @@ def resolution_refute_lifted(Z):
     chained from (z_1) to the empty clause.  Resolvent count is the
     number of implication clauses plus m+1.
     """
-    lay = _chain_layout(Z)
+    Z = _chain_layout(Z)
+    m = Z.base.num_clauses
     steps = []
 
     def input_step(index):
@@ -208,18 +165,18 @@ def resolution_refute_lifted(Z):
         return len(steps)
 
     block = {}
-    for i in range(1, lay.m + 1):
+    for i in range(1, m + 1):
         cur = input_step(i - 1)
-        lits = tuple(Z.base.clauses[i - 1]) + (lay.y(i),)
+        lits = tuple(Z.base.clauses[i - 1]) + (Z.y(i),)
         for t, lit in enumerate(lits):
-            other = input_step(lay.imp_index(i, t))
+            other = input_step(Z.starts[i - 1] + t)
             cur = res_step(cur, other, abs(lit))
         block[i] = cur
-    cur = input_step(lay.z1_index)
-    for i in range(1, lay.m + 1):
-        cur = res_step(cur, block[i], lay.z(i))
-    last = input_step(lay.last_index)
-    res_step(cur, last, lay.z(lay.m + 1))
+    cur = input_step(Z.starts[m])
+    for i in range(1, m + 1):
+        cur = res_step(cur, block[i], Z.z(i))
+    last = input_step(Z.starts[m] + 1)
+    res_step(cur, last, Z.z(m + 1))
     return ResolutionProof(tuple(steps))
 
 
@@ -286,7 +243,7 @@ def compilation_to_refutation(comp, Z):
     chain end lands on the constant-false diagram; each step becomes one
     init or join line.
     """
-    lay = _chain_layout(Z)
+    Z = _chain_layout(Z)
     if not comp:
         raise RefuteError("empty compilation trace")
     backend, store, structure = _trace_store(comp)
@@ -294,38 +251,36 @@ def compilation_to_refutation(comp, Z):
     mentioned = {abs(lit) for clause in clauses for lit in clause}
     if not mentioned <= backend.leaves(structure):
         raise RefuteError("trace structure does not cover the lifting")
-    _check_trace(comp, backend, store, clauses[:lay.m])
+    _check_trace(comp, backend, store, clauses[:Z.base.num_clauses])
 
     trace = list(comp)
-    cur = _fold_steps(backend, store, trace, [clauses[lay.z1_index]],
-                      lay.z1_index, len(trace) - 1)
-    for i in range(1, lay.m + 1):
-        start = lay.imp_index(i, 0)
-        block = _fold_steps(backend, store, trace,
-                            clauses[start:start + lay.sizes[i - 1] + 1], start)
+    z1 = Z.starts[-1]
+    cur = _fold_steps(backend, store, trace, [clauses[z1]], z1,
+                      len(trace) - 1)
+    for start, stop in zip(Z.starts, Z.starts[1:]):
+        block = _fold_steps(backend, store, trace, clauses[start:stop], start)
         trace.append(("join", cur, block, backend.conjoin(
             store, trace[cur][-1], trace[block][-1])))
         cur = len(trace) - 1
-    _fold_steps(backend, store, trace, [clauses[lay.last_index]],
-                lay.last_index, cur)
+    _fold_steps(backend, store, trace, clauses[z1 + 1:], z1 + 1, cur)
     return _trace_proof(backend.name, structure, trace, lambda d: d)
 
 
 # --------------------------------------------------------- treewidth route
 
-def _attach_control_bags(td, phi):
-    """Extend a decomposition of phi's primal graph to the control
-    lifting: each control variable joins a fresh bag hung off a bag
-    containing its clause (clause variables are a clique, so one
-    exists).
+def _attach_control_bags(td, Z):
+    """Extend a decomposition of the primal graph of the base of the
+    chain lifting Z to its control lifting: each control variable joins
+    a fresh bag hung off a bag containing its clause (clause variables
+    are a clique, so one exists).
     """
     bags = list(td.bags)
     edges = list(td.tree_edges)
-    for i, clause in enumerate(phi.clauses, start=1):
+    for i, clause in enumerate(Z.base.clauses, start=1):
         need = {abs(lit) - 1 for lit in clause}
         host = next(b for b, bag in enumerate(bags[:len(td.bags)])
                     if need <= set(bag))
-        bags.append(tuple(sorted(need | {phi.num_vars + i - 1})))
+        bags.append(tuple(sorted(need | {Z.y(i) - 1})))
         edges.append((host, len(bags) - 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
 
@@ -344,9 +299,9 @@ def treewidth_refute(phi):
     Z = lift_Z(phi)
     control = lift_C(phi)
     td = tree_decomposition(primal_graph(phi))
-    base_tree = vtree_from_decomposition(_attach_control_bags(td, phi), control)
-    n, m = phi.num_vars, phi.num_clauses
-    chain = right_linear_vtree(tuple(range(n + m + 1, n + 2 * m + 2)))
+    base_tree = vtree_from_decomposition(_attach_control_bags(td, Z), control)
+    chain = right_linear_vtree(
+        tuple(Z.z(i) for i in range(1, phi.num_clauses + 2)))
     store = SddStore(vtree_node(base_tree, chain))
     _, trace = fold_trace(BACKENDS["sdd"], store, control.clauses)
     return compilation_to_refutation(trace, Z), {"width": td.width}
@@ -367,16 +322,16 @@ def obdd_refute_eq(n, shift):
     if not 0 <= shift < n:
         raise RefuteError("shift out of range")
     phi = eq_formula(n, shift)
+    Z = lift_Z(phi)
     order = []
     for k in range(n):
         j = (shift + k) % n
-        order.extend((k + 1, n + j + 1,
-                      2 * n + 2 * k + 1, 2 * n + 2 * k + 2,
-                      4 * n + 2 * k + 1, 4 * n + 2 * k + 2))
-    order.append(6 * n + 1)
+        order.extend((k + 1, n + j + 1, Z.y(2 * k + 1), Z.y(2 * k + 2),
+                      Z.z(2 * k + 1), Z.z(2 * k + 2)))
+    order.append(Z.z(2 * n + 1))
     store = ObddStore(tuple(order))
     _, trace = fold_trace(BACKENDS["obdd"], store, lift_C(phi).clauses)
-    return compilation_to_refutation(trace, lift_Z(phi))
+    return compilation_to_refutation(trace, Z)
 
 
 # --------------------------------------------------------------- extraction
@@ -403,9 +358,9 @@ def track_clause_sets(phi, proof):
         sets[line.n] = _clause_set(sets, line)
     return sets
 
-def _case_assignment(lay, clauses, missing):
+def _case_assignment(Z, missing):
     """Partial assignment clearing one side of the split, by the block ell
-    of that side's missing clause; clauses are the lifting's.
+    of that side's missing clause of the chain lifting Z.
 
     The chain is cut right after block ell, so every implication clause
     left on that side is satisfied.  C_ell | y_ell is falsified, except
@@ -414,17 +369,28 @@ def _case_assignment(lay, clauses, missing):
     surviving augmented clause restricts to its full base clause.  The
     chain start (block 0) and end (block m+1) assign no base variable.
     """
-    ell, t = lay.block(missing)
-    clause = clauses[ell - 1] if 1 <= ell <= lay.m else ()
+    m = Z.base.num_clauses
+    clauses = Z.result.clauses
+    # ell: the missing clause's block, 0 for the chain start and m+1 for
+    # its end; t: for an implication clause, the position in C_ell | y_ell
+    # of the literal it negates
+    ell, t = bisect_right(Z.starts, missing), None
+    if ell == 0:                    # an augmented clause
+        ell = missing + 1
+    elif ell <= m:                  # an implication clause
+        t = missing - Z.starts[ell - 1]
+    elif missing == Z.starts[m]:    # the chain start; its end stays m+1
+        ell = 0
+    clause = clauses[ell - 1] if 1 <= ell <= m else ()
     core = {abs(lit) for lit in clause}
-    a = {lay.y(b): int(any(abs(lit) in core for lit in clauses[b - 1]))
-         for b in range(1, lay.m + 1)}
+    a = {Z.y(b): int(any(abs(lit) in core for lit in clauses[b - 1]))
+         for b in range(1, m + 1)}
     for lit in clause:
         a[abs(lit)] = int(lit < 0)
     if t is not None:
         a[abs(clause[t])] = int(clause[t] > 0)
-    for b in range(1, lay.m + 2):
-        a[lay.z(b)] = int(b <= ell)
+    for b in range(1, m + 2):
+        a[Z.z(b)] = int(b <= ell)
     return a
 
 
@@ -445,7 +411,7 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
     that has checked P against Z.result passes the verdict, and P is not
     checked again; cap bounds that check and the lines read after it.
     """
-    lay = _chain_layout(Z)
+    Z = _chain_layout(Z)
     if "weaken" in P.system.rules:
         raise RefuteError("extraction needs a weakening-free proof")
     if verdict is None:
@@ -479,7 +445,7 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
     total = Z.result.num_clauses
     # the restrictions assign every control and chain variable, so the
     # pieces are conjoined over the structure induced on the base ones
-    lifted = set(range(lay.n + 1, lay.z(lay.m + 1) + 1))
+    lifted = set(range(Z.base.num_vars + 1, Z.result.num_vars + 1))
     store = backend.store(
         backend.without(session.structure_value(sid), lifted))
     satisfied = set()
@@ -492,10 +458,10 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
                 break
         if missing is None:
             raise RefuteError("a satisfiable line carries every clause")
-        a = _case_assignment(lay, Z.result.clauses, missing)
+        a = _case_assignment(Z, missing)
         pieces.append(backend.rebase(store, backend.restrict(diagram, a)))
-        for b in range(1, lay.m + 1):
-            clause = Z.result.clauses[b - 1]
+        for b, clause in enumerate(Z.result.clauses[:Z.base.num_clauses],
+                                   start=1):
             if any(a.get(abs(lit)) == (1 if lit > 0 else 0)
                    for lit in clause):
                 satisfied.add(b)

@@ -25,6 +25,17 @@ class LiftedFormula:
     base: CnfFormula
     result: CnfFormula
     roles: dict  # result variable -> label like "x3", "y1", "z2", "w1"
+    # lift_Z: the index in result of each base clause's block of
+    # implication clauses, then of the chain start (z_1)
+    starts: tuple = ()
+
+    def y(self, i):
+        """Control variable of base clause i, 1-based."""
+        return self.base.num_vars + i
+
+    def z(self, i):
+        """Chain variable i, for i in 1..m+1."""
+        return self.base.num_vars + self.base.num_clauses + i
 
 
 def lift_Z(phi: CnfFormula) -> LiftedFormula:
@@ -43,16 +54,20 @@ def lift_Z(phi: CnfFormula) -> LiftedFormula:
     clauses: list[Clause] = []
     for i, clause in enumerate(phi.clauses, start=1):
         clauses.append(tuple(clause) + (y(i),))
+    starts = []
     for i, clause in enumerate(phi.clauses, start=1):
+        starts.append(len(clauses))
         for lit in tuple(clause) + (y(i),):
             clauses.append((-lit, -z(i), z(i + 1)))
+    starts.append(len(clauses))
     clauses.append((z(1),))
     clauses.append((-z(m + 1),))
     result = cnf(n + m + (m + 1), clauses)
     roles = {v: "x%d" % v for v in range(1, n + 1)}
     roles.update({y(i): "y%d" % i for i in range(1, m + 1)})
     roles.update({z(i): "z%d" % i for i in range(1, m + 2)})
-    return LiftedFormula(base=phi, result=result, roles=roles)
+    return LiftedFormula(base=phi, result=result, roles=roles,
+                         starts=tuple(starts))
 
 
 def lift_C(phi: CnfFormula) -> CnfFormula:

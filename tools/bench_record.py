@@ -7,15 +7,18 @@ For every workload and seed, ``perfbench/run.py`` runs once per tree, in
 the order given for the first seed, reversed for the second and so on, so
 that two trees form pairs that alternate which runs first.  Each run
 happens in its tree's own checkout and process.  Its last output line
-(the JSON result) is stored with the proof SHA-256 and repetition count of
-the line before it.  Runs already in the file are kept, so a long series
-can be recorded in several calls.  The summary gives, per workload, tree
-and end-to-end metric, the median and quartiles over every recorded run;
-with exactly two trees it also counts the pairs in which the second tree
-did better, in the direction ``BENCHMARK.json`` declares.  The k-th run of
-a seed on one tree pairs with the k-th run of that seed on the other, so a
-seed recorded twice gives two pairs.  The script ends by printing the
-summary, one line per workload and end-to-end metric.
+(the JSON result) is stored with the proof SHA-256, the repetition count
+and the raw samples (``produce_s_raw``, ``check_s_raw``, ``setup_s_raw``,
+before the speed scaling, and ``speed``) of the line before it.  Runs
+already in the file are kept, so a long series can be recorded in several
+calls.  The summary gives, per workload, tree and end-to-end metric, the
+median and quartiles over every recorded run; each raw sample list counts
+as one more metric, lower is better, whose value in a run is the median of
+its samples.  With exactly two trees the summary also counts the pairs in
+which the second tree did better, in the direction ``BENCHMARK.json``
+declares.  The k-th run of a seed on one tree pairs with the k-th run of
+that seed on the other, so a seed recorded twice gives two pairs.  The
+script ends by printing the summary, one line per workload and metric.
 
 Each run compiles its tree's modules into a new, empty bytecode directory
 (``PYTHONPYCACHEPREFIX``), removed after the run, so that no tree imports
@@ -31,6 +34,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# run.py's raw sample lists, summarized beside the scaled metrics
+RAW = ("check_s_raw", "produce_s_raw", "setup_s_raw")
 
 
 def run_once(tree, workload, seed, seconds, trace):
@@ -47,6 +52,8 @@ def run_once(tree, workload, seed, seconds, trace):
         info = json.loads(lines[-2])
         record["proof_sha256"] = info["proof_sha256"]
         record["reps"] = info["reps"]
+        record.update({key: info[key] for key in RAW + ("speed",)
+                       if key in info})
         record["result"] = json.loads(lines[-1])
     else:
         record["stderr"] = done.stderr[-2000:]
@@ -60,7 +67,18 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def run_value(record, metric):
+    """The run's value of an end-to-end metric, or the median of a raw
+    sample list; None when the run did not report it."""
+    if metric in RAW:
+        samples = record.get(metric)
+        return statistics.median(samples) if samples else None
+    found = record["result"]["metrics"].get(metric)
+    return None if found is None else found["value"]
+
+
 def summarize(runs, labels, better):
+    better = dict(better, **{metric: True for metric in RAW})
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload
@@ -73,9 +91,9 @@ def summarize(runs, labels, better):
                 # per seed, this tree's values in the order they were run
                 values[label] = {}
                 for r in mine:
-                    if r["tree"] == label and metric in r["result"]["metrics"]:
-                        values[label].setdefault(r["seed"], []).append(
-                            r["result"]["metrics"][metric]["value"])
+                    value = run_value(r, metric)
+                    if r["tree"] == label and value is not None:
+                        values[label].setdefault(r["seed"], []).append(value)
                 every = sorted(v for seed_values in values[label].values()
                                for v in seed_values)
                 if every:
