@@ -1,4 +1,4 @@
-"""CNF formulas: DIMACS I/O, restriction, primal graphs, and min-fill tree
+"""CNF formulas: DIMACS I/O, primal graphs, and min-fill tree
 decompositions.
 
 Variables are the positive integers 1..n (DIMACS convention); a literal is a
@@ -9,11 +9,10 @@ bijection between graph vertices and formula variables is v <-> v + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Literal = int
 Clause = Tuple[int, ...]
-Assignment = Dict[int, int]  # variable -> 0 or 1
 
 DEFAULT_CHECK_CAP = 10 ** 7  # gate pairs a proof check tests at most
 
@@ -121,53 +120,6 @@ def to_dimacs(phi: CnfFormula) -> str:
     for clause in phi.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------- restriction
-
-def restrict_clause(clause: Clause, a: Assignment) -> Optional[Clause]:
-    """Restricted clause, or None when some literal is satisfied by a."""
-    out = []
-    for lit in clause:
-        var = abs(lit)
-        if var in a:
-            if a[var] == (1 if lit > 0 else 0):
-                return None
-        else:
-            out.append(lit)
-    return tuple(out)
-
-
-def restrict_cnf(phi: CnfFormula, a: Assignment) -> CnfFormula:
-    """Drop satisfied clauses, delete falsified literals from the rest.
-
-    The variable space is unchanged; assigned variables simply stop being
-    mentioned.  A clause whose literals are all falsified survives as the
-    empty clause.
-    """
-    for var in a:
-        if not (1 <= var <= phi.num_vars):
-            raise CnfError("assignment mentions variable %d outside 1..%d"
-                           % (var, phi.num_vars))
-    kept = []
-    for clause in phi.clauses:
-        restricted = restrict_clause(clause, a)
-        if restricted is not None:
-            kept.append(restricted)
-    return CnfFormula(phi.num_vars, tuple(kept))
-
-
-def restriction_map(phi: CnfFormula, a: Assignment) -> Dict[int, Optional[int]]:
-    """Old clause index -> new index in restrict_cnf(phi, a), None if satisfied."""
-    mapping: Dict[int, Optional[int]] = {}
-    new_index = 0
-    for old_index, clause in enumerate(phi.clauses):
-        if restrict_clause(clause, a) is None:
-            mapping[old_index] = None
-        else:
-            mapping[old_index] = new_index
-            new_index += 1
-    return mapping
 
 
 # -------------------------------------------------------------------- graphs

@@ -103,8 +103,8 @@ class ObddStore:
         # id -> level of the node's variable; both sinks sit below them all
         self.levels = [len(order), len(order)]
         self.unique = {}
-        # whole-operation results, under (op, smaller id, larger id) or
-        # ("not", id); kept until collect frees a node they name
+        # whole-operation results, under (op, smaller id, larger id); kept
+        # until collect frees a node they name
         self.cache = {}
         # the recursion memo of the one operation running now, emptied when
         # it returns: across operations it hits almost never, and a
@@ -147,19 +147,11 @@ class ObddStore:
         else:
             raise ObddError("unknown operation %r" % op)
         key = (op, a, b) if a < b else (op, b, a)
-        return self._operation(key, worker, a, b)
-
-    def negate(self, u):
-        return self._operation(("not", u), self._not, u)
-
-    def _operation(self, key, worker, *args):
-        """A whole operation's result: from the cache, or from worker with
-        the memo emptied again when it returns."""
         found = self.cache.get(key)
         if found is not None:
             return found
         try:
-            result = worker(*args)
+            result = worker(a, b)
         finally:
             self.memo.clear()
         self.cache[key] = result
@@ -168,9 +160,6 @@ class ObddStore:
     # apply's two workers, alike but for which sink absorbs
     _and = _apply_worker(0)
     _or = _apply_worker(1)
-
-    def _not(self, u):
-        return _rebuild(self, self, u, {0: 1, 1: 0})
 
     def restrict(self, u, assignment):
         return _rebuild(self, self, u, {0: 0, 1: 1}, assignment)
@@ -217,9 +206,9 @@ class ObddStore:
             else:
                 nodes[u] = None
         self.unique = unique
-        # keys are (op, a, b) or ("not", u)
+        # keys are (op, a, b)
         self.cache = {key: u for key, u in self.cache.items()
-                      if u in live and key[1] in live and key[-1] in live}
+                      if u in live and key[1] in live and key[2] in live}
 
     def count(self, u, over):
         over = set(over)
@@ -268,13 +257,6 @@ class ObddRef:
 
 def obdd_const(store, value):
     return ObddRef(store, store.TRUE if value else store.FALSE)
-
-
-def obdd_literal(store, lit):
-    var = abs(lit)
-    if lit > 0:
-        return ObddRef(store, store.mk(var, store.FALSE, store.TRUE))
-    return ObddRef(store, store.mk(var, store.TRUE, store.FALSE))
 
 
 def obdd_from_clause(store, clause):

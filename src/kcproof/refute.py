@@ -9,8 +9,6 @@ obdd_refute_eq            interleaved-order obdd refutation of the
                           shifted-equality contradiction chain
 extract_representation    diagram for the base formula, pulled out of a
                           weakening-free refutation of its chain lifting
-restrict_proof            refutation of a restricted formula, from a
-                          weakening-free refutation of the formula
 
 Every join-only refutation is built as one trace of ("init", index, d)
 and ("join", i, j, d) steps.  _fold_steps appends a clause fold's steps
@@ -22,10 +20,9 @@ output and stats sidecars are the command line's business.
 """
 
 from bisect import bisect_right
-from dataclasses import replace
 
 from .cnf import (DEFAULT_CHECK_CAP, CapExceeded, TreeDecomposition,
-                  primal_graph, restriction_map, tree_decomposition)
+                  primal_graph, tree_decomposition)
 from .structure import (StructureError, right_linear_vtree,
                         vtree_from_decomposition, vtree_node)
 from .obdd import ObddError, ObddStore
@@ -476,81 +473,4 @@ def extract_representation(P, Z, var_cap=22, verdict=None,
     for b in sorted(satisfied):
         out = backend.conjoin(store, out, backend.clause(
             store, Z.base.clauses[b - 1]))
-    return out
-
-
-# ---------------------------------------------------------------- restriction
-
-def restrict_proof(phi, proof, assignment):
-    """Apply a partial assignment through a weakening-free proof.
-
-    Every diagram is restricted in place over its unchanged structure;
-    init lines are re-targeted to the clause indices of the restricted
-    formula.  A satisfied clause's line turns into the constant-true
-    diagram and is dropped, references to a dropped line are redirected
-    to its surviving join antecedent, and the tail of the proof after
-    the line now carrying the final diagram is cut.  The result refutes
-    restrict_cnf(phi, assignment).
-    """
-    if "weaken" in proof.system.rules:
-        raise ProofError("restriction needs a weakening-free proof")
-    if not proof.lines:
-        raise ProofError("empty proof")
-    clause_map = restriction_map(phi, assignment)
-    session = _Session(proof, cap=10 ** 9)
-    out = Proof(proof.system)
-    # mapped[n] is the new line number carrying line n's restricted
-    # diagram, or None when that diagram is constant true and dropped.
-    mapped = {}
-    sid_map = {}
-
-    def out_sid(sid):
-        if sid not in sid_map:
-            sid_map[sid] = out.add_structure(proof.structures[sid])
-        return sid_map[sid]
-
-    def out_diagram(line):
-        d = session.diagram(line.diagram_id)
-        restricted = session.backend.restrict(d, assignment)
-        sid = session.diagram_structure(line.diagram_id)
-        return out.add_diagram(out_sid(sid), diagram_payload(restricted))
-
-    last_kept = None
-    for line in proof.lines:
-        if line.rule == "init":
-            new_index = clause_map.get(line.clause_index)
-            if new_index is None:
-                mapped[line.n] = None
-                continue
-            mapped[line.n] = out.add_init(new_index, out_diagram(line))
-        elif line.rule == "join":
-            a, b = mapped[line.refs[0]], mapped[line.refs[1]]
-            if a is None and b is None:
-                mapped[line.n] = None
-                continue
-            if a is None or b is None:
-                mapped[line.n] = a if b is None else b
-                continue
-            mapped[line.n] = out.add_join(a, b, out_diagram(line))
-        elif line.rule in ("move", "reorder"):
-            ref = mapped[line.refs[0]]
-            if ref is None:
-                mapped[line.n] = None
-                continue
-            sid = out_sid(line.structure_id)  # numbered before the diagram's
-            mapped[line.n] = out._append(replace(
-                line, n=len(out.lines) + 1, refs=(ref,), structure_id=sid,
-                diagram_id=out_diagram(line), cert_ids=()))
-        else:
-            raise ProofError("line %d: unexpected rule %r"
-                             % (line.n, line.rule))
-        last_kept = mapped[line.n]
-    final = mapped[proof.lines[-1].n]
-    if final is None:
-        raise ProofError("restriction drops every line of the proof")
-    if final != last_kept:
-        # The original final line collapsed onto an earlier antecedent;
-        # everything after that antecedent is dead weight for the
-        # refutation, so cut the tail.
-        out.lines = out.lines[:final]
     return out

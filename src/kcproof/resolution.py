@@ -1,18 +1,14 @@
-"""Resolution refutations: their text format, their checker, and their
-translation into OBDD proofs with join and weakening.
+"""Resolution refutations: their text format and their checker.
 
 A resolution proof is a list of steps, each an input clause or the
 resolvent of two earlier steps on a pivot variable; it refutes a formula
-when its last clause is empty.  `resolution_to_obddw` turns one into a
-proof that `kcproof.proofs.check_proof` checks.
+when its last clause is empty.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
-from .obdd import ObddRef, ObddStore, obdd_apply, obdd_literal
-from .proofs import (Proof, ProofError, ProofSystem, Verdict, _int,
-                     diagram_payload)
+from .proofs import ProofError, Verdict, _int
 
 
 @dataclass(frozen=True)
@@ -106,48 +102,3 @@ def check_resolution(phi, r):
     if clauses[-1]:
         return Verdict(False, len(r.steps), "final clause is not empty", stats)
     return Verdict(True, None, None, stats)
-
-
-def _clause_obdd(store, clause):
-    """Clause diagram tolerant of duplicate and clashing literals."""
-    result = ObddRef(store, store.FALSE)
-    for lit in sorted(set(clause), key=lambda l: (abs(l), l < 0)):
-        result = obdd_apply("or", result, obdd_literal(store, lit))
-    return result
-
-
-def resolution_to_obddw(phi, r, order=None):
-    """Translate a resolution refutation into a checkable obdd proof.
-
-    Inputs become init lines; each resolution step becomes the join of
-    its antecedent lines followed by a weakening to the resolvent's
-    clause diagram, so the output has (inputs) + 2*(resolution steps)
-    lines over the single given order (default: 1..num_vars).
-    """
-    verdict = check_resolution(phi, r)
-    if not verdict.accepted:
-        raise ProofError("resolution proof rejected: %s" % verdict.reason)
-    clauses, _ = _resolution_clauses(phi, r)
-    if order is None:
-        order = tuple(range(1, phi.num_vars + 1))
-    proof = Proof(ProofSystem("obdd", frozenset(("join", "weaken"))))
-    sid = proof.add_structure(tuple(order))
-    store = ObddStore(tuple(order))
-    line_of = {}
-    for n, step in enumerate(r.steps, start=1):
-        if step[0] == "input":
-            did = proof.add_diagram(
-                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
-            line_of[n] = proof.add_init(step[1], did)
-        else:
-            _, i, j, _pivot = step
-            joint = obdd_apply(
-                "and",
-                _clause_obdd(store, clauses[i - 1]),
-                _clause_obdd(store, clauses[j - 1]))
-            join_did = proof.add_diagram(sid, diagram_payload(joint))
-            join_n = proof.add_join(line_of[i], line_of[j], join_did)
-            weak_did = proof.add_diagram(
-                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
-            line_of[n] = proof.add_weaken(join_n, weak_did)
-    return proof

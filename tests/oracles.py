@@ -1,5 +1,6 @@
-"""Test oracles: brute force over truth tables, and the diagram helpers
-that only the tests call.
+"""Test oracles: brute force over truth tables, the diagram helpers that
+only the tests call, the restriction of formulas and proofs, and the
+translation of resolution into OBDD proofs with join and weakening.
 
 `kcp` never runs this code, so it lives here and not in the package: the
 modules a check enters (`kcproof.cnf`, `kcproof.structure` and the
@@ -11,16 +12,21 @@ assignment where variable i takes bit (i-1) of r.  AND/OR/NOT of functions
 are the integer bitwise operations, and model counting is popcount.
 """
 
-from typing import Dict, List, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
-from kcproof.cnf import Assignment, CapExceeded, Clause, CnfError, CnfFormula
+from kcproof.cnf import CapExceeded, Clause, CnfError, CnfFormula
 from kcproof.dsdnnf import DsdnnfError
-from kcproof.obdd import (ObddError, ObddRef, ObddStore, migrate, obdd_apply,
-                          obdd_literal, obdd_restrict)
-from kcproof.proofs import BACKENDS
+from kcproof.obdd import (ObddError, ObddRef, ObddStore, _rebuild, migrate,
+                          obdd_apply, obdd_restrict)
+from kcproof.proofs import (BACKENDS, Proof, ProofError, ProofSystem,
+                            _Session, diagram_payload)
 from kcproof.refute import fold_trace
+from kcproof.resolution import _resolution_clauses, check_resolution
 from kcproof.sdd import SddRef, sdd_apply, sdd_const, sdd_literal
 from kcproof.structure import StructureError, VarOrder, Vtree, path_to_text
+
+Assignment = Dict[int, int]  # variable -> 0 or 1
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 
@@ -138,10 +144,139 @@ def single_variable_move(order: VarOrder, var: int, pos: int) -> VarOrder:
     return tuple(rest)
 
 
+# --------------------------------------------------------------- restriction
+
+def restrict_clause(clause: Clause, a: Assignment) -> Optional[Clause]:
+    """Restricted clause, or None when some literal is satisfied by a."""
+    out = []
+    for lit in clause:
+        var = abs(lit)
+        if var in a:
+            if a[var] == (1 if lit > 0 else 0):
+                return None
+        else:
+            out.append(lit)
+    return tuple(out)
+
+
+def restrict_cnf(phi: CnfFormula, a: Assignment) -> CnfFormula:
+    """Drop satisfied clauses, delete falsified literals from the rest.
+
+    The variable space is unchanged; assigned variables simply stop being
+    mentioned.  A clause whose literals are all falsified survives as the
+    empty clause.
+    """
+    for var in a:
+        if not (1 <= var <= phi.num_vars):
+            raise CnfError("assignment mentions variable %d outside 1..%d"
+                           % (var, phi.num_vars))
+    kept = []
+    for clause in phi.clauses:
+        restricted = restrict_clause(clause, a)
+        if restricted is not None:
+            kept.append(restricted)
+    return CnfFormula(phi.num_vars, tuple(kept))
+
+
+def restriction_map(phi: CnfFormula, a: Assignment) -> Dict[int, Optional[int]]:
+    """Old clause index -> new index in restrict_cnf(phi, a), None if satisfied."""
+    mapping: Dict[int, Optional[int]] = {}
+    new_index = 0
+    for old_index, clause in enumerate(phi.clauses):
+        if restrict_clause(clause, a) is None:
+            mapping[old_index] = None
+        else:
+            mapping[old_index] = new_index
+            new_index += 1
+    return mapping
+
+
+def restrict_proof(phi, proof, assignment):
+    """Apply a partial assignment through a weakening-free proof.
+
+    Every diagram is restricted in place over its unchanged structure;
+    init lines are re-targeted to the clause indices of the restricted
+    formula.  A satisfied clause's line turns into the constant-true
+    diagram and is dropped, references to a dropped line are redirected
+    to its surviving join antecedent, and the tail of the proof after
+    the line now carrying the final diagram is cut.  The result refutes
+    restrict_cnf(phi, assignment).
+    """
+    if "weaken" in proof.system.rules:
+        raise ProofError("restriction needs a weakening-free proof")
+    if not proof.lines:
+        raise ProofError("empty proof")
+    clause_map = restriction_map(phi, assignment)
+    session = _Session(proof, cap=10 ** 9)
+    out = Proof(proof.system)
+    # mapped[n] is the new line number carrying line n's restricted
+    # diagram, or None when that diagram is constant true and dropped.
+    mapped = {}
+    sid_map = {}
+
+    def out_sid(sid):
+        if sid not in sid_map:
+            sid_map[sid] = out.add_structure(proof.structures[sid])
+        return sid_map[sid]
+
+    def out_diagram(line):
+        d = session.diagram(line.diagram_id)
+        restricted = session.backend.restrict(d, assignment)
+        sid = session.diagram_structure(line.diagram_id)
+        return out.add_diagram(out_sid(sid), diagram_payload(restricted))
+
+    last_kept = None
+    for line in proof.lines:
+        if line.rule == "init":
+            new_index = clause_map.get(line.clause_index)
+            if new_index is None:
+                mapped[line.n] = None
+                continue
+            mapped[line.n] = out.add_init(new_index, out_diagram(line))
+        elif line.rule == "join":
+            a, b = mapped[line.refs[0]], mapped[line.refs[1]]
+            if a is None and b is None:
+                mapped[line.n] = None
+                continue
+            if a is None or b is None:
+                mapped[line.n] = a if b is None else b
+                continue
+            mapped[line.n] = out.add_join(a, b, out_diagram(line))
+        elif line.rule in ("move", "reorder"):
+            ref = mapped[line.refs[0]]
+            if ref is None:
+                mapped[line.n] = None
+                continue
+            sid = out_sid(line.structure_id)  # numbered before the diagram's
+            mapped[line.n] = out._append(replace(
+                line, n=len(out.lines) + 1, refs=(ref,), structure_id=sid,
+                diagram_id=out_diagram(line), cert_ids=()))
+        else:
+            raise ProofError("line %d: unexpected rule %r"
+                             % (line.n, line.rule))
+        last_kept = mapped[line.n]
+    final = mapped[proof.lines[-1].n]
+    if final is None:
+        raise ProofError("restriction drops every line of the proof")
+    if final != last_kept:
+        # The original final line collapsed onto an earlier antecedent;
+        # everything after that antecedent is dead weight for the
+        # refutation, so cut the tail.
+        out.lines = out.lines[:final]
+    return out
+
+
 # -------------------------------------------------------------------- OBDDs
 
+def obdd_literal(store, lit):
+    var = abs(lit)
+    if lit > 0:
+        return ObddRef(store, store.mk(var, store.FALSE, store.TRUE))
+    return ObddRef(store, store.mk(var, store.TRUE, store.FALSE))
+
+
 def obdd_negate(d):
-    return ObddRef(d.store, d.store.negate(d.node))
+    return ObddRef(d.store, _rebuild(d.store, d.store, d.node, {0: 1, 1: 0}))
 
 
 def obdd_is_unsat(d):
@@ -329,3 +464,50 @@ def circuit_to_lines_reference(circuit):
         raise DsdnnfError("circuit has no root")
     lines.append("root %d" % circuit.root)
     return lines
+
+
+# --------------------------------------------------------------- resolution
+
+def _clause_obdd(store, clause):
+    """Clause diagram tolerant of duplicate and clashing literals."""
+    result = ObddRef(store, store.FALSE)
+    for lit in sorted(set(clause), key=lambda l: (abs(l), l < 0)):
+        result = obdd_apply("or", result, obdd_literal(store, lit))
+    return result
+
+
+def resolution_to_obddw(phi, r, order=None):
+    """Translate a resolution refutation into a checkable obdd proof.
+
+    Inputs become init lines; each resolution step becomes the join of
+    its antecedent lines followed by a weakening to the resolvent's
+    clause diagram, so the output has (inputs) + 2*(resolution steps)
+    lines over the single given order (default: 1..num_vars).
+    """
+    verdict = check_resolution(phi, r)
+    if not verdict.accepted:
+        raise ProofError("resolution proof rejected: %s" % verdict.reason)
+    clauses, _ = _resolution_clauses(phi, r)
+    if order is None:
+        order = tuple(range(1, phi.num_vars + 1))
+    proof = Proof(ProofSystem("obdd", frozenset(("join", "weaken"))))
+    sid = proof.add_structure(tuple(order))
+    store = ObddStore(tuple(order))
+    line_of = {}
+    for n, step in enumerate(r.steps, start=1):
+        if step[0] == "input":
+            did = proof.add_diagram(
+                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
+            line_of[n] = proof.add_init(step[1], did)
+        else:
+            _, i, j, _pivot = step
+            joint = obdd_apply(
+                "and",
+                _clause_obdd(store, clauses[i - 1]),
+                _clause_obdd(store, clauses[j - 1]))
+            join_did = proof.add_diagram(sid, diagram_payload(joint))
+            join_n = proof.add_join(line_of[i], line_of[j], join_did)
+            weak_did = proof.add_diagram(
+                sid, diagram_payload(_clause_obdd(store, clauses[n - 1])))
+            line_of[n] = proof.add_weaken(join_n, weak_did)
+    return proof

@@ -15,7 +15,6 @@ sys.path.insert(0, "src")
 
 from kcproof.cnf import (
     cnf,
-    restrict_cnf,
     primal_graph,
     tree_decomposition,
 )
@@ -68,12 +67,12 @@ from kcproof.refute import (
     naive_conjoin_refute,
     obdd_refute_eq,
     resolution_refute_lifted,
-    restrict_proof,
     treewidth_refute,
 )
 from kcproof.resolution import check_resolution
 from oracles import (brute_force_models, is_minimally_unsat, kl_profile,
-                     obdd_is_unsat, obdd_negate, obdd_truth_mask, sdd_negate,
+                     obdd_is_unsat, obdd_negate, obdd_truth_mask,
+                     restrict_cnf, restrict_proof, sdd_negate,
                      sdd_truth_mask)
 
 PHI0 = cnf(1, [(1,), (-1,)])

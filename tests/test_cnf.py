@@ -13,14 +13,12 @@ from kcproof.cnf import (
     mk_graph,
     parse_dimacs,
     primal_graph,
-    restrict_cnf,
-    restriction_map,
     to_dimacs,
     tree_decomposition,
     validate_decomposition,
 )
 from oracles import (all_models, brute_force_models, is_minimally_unsat,
-                     kl_profile, var_mask)
+                     kl_profile, restrict_cnf, restriction_map, var_mask)
 
 
 # Independent oracle used to pin expected counts: evaluates clauses literally

@@ -27,10 +27,10 @@ from kcproof.dsdnnf import (
     validate_deterministic,
     validate_structured,
 )
-from kcproof.obdd import ObddStore, obdd_apply, obdd_const, obdd_from_clause, obdd_literal
+from kcproof.obdd import ObddStore, obdd_apply, obdd_const, obdd_from_clause
 from kcproof.sdd import SddStore, sdd_apply, sdd_const, sdd_from_clause, sdd_literal
 from kcproof.structure import parse_vtree, right_linear_vtree, vtree_leaf, vtree_node
-from oracles import formula_mask
+from oracles import formula_mask, obdd_literal
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 MAJ_VTREE = parse_vtree("((x1 x2) x3)")

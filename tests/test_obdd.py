@@ -14,16 +14,15 @@ from kcproof.obdd import (
     obdd_equal,
     obdd_from_clause,
     obdd_from_lines,
-    obdd_literal,
     obdd_restrict,
     obdd_size,
     obdd_to_lines,
     obdd_to_text,
     parse_obdd,
 )
-from oracles import (formula_mask, full_mask, obdd_is_unsat, obdd_move_var,
-                     obdd_negate, obdd_support, obdd_total_size,
-                     obdd_truth_mask)
+from oracles import (formula_mask, full_mask, obdd_is_unsat, obdd_literal,
+                     obdd_move_var, obdd_negate, obdd_support,
+                     obdd_total_size, obdd_truth_mask)
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 

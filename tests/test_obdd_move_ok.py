@@ -8,11 +8,11 @@ caller's check.  For a reorder certificate that caller is
 """
 
 from kcproof.cnf import cnf
-from kcproof.obdd import (ObddStore, obdd_apply, obdd_const, obdd_from_clause,
-                          obdd_literal)
+from kcproof.obdd import ObddStore, obdd_apply, obdd_const, obdd_from_clause
 from kcproof.proofs import (BACKENDS, Proof, ProofSystem, _single_move_step,
                             check_proof, diagram_payload, parse_proof,
                             proof_to_text)
+from oracles import obdd_literal
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 MOVE_OK = BACKENDS["obdd"].move_ok

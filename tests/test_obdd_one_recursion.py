@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import restrict_cnf
 from kcproof.obdd import (ObddError, ObddStore, migrate, obdd_apply,
-                          obdd_count, obdd_from_clause, obdd_literal,
-                          obdd_restrict)
+                          obdd_count, obdd_from_clause, obdd_restrict)
 from kcproof.proofs import check_proof, proof_to_text
-from kcproof.refute import naive_conjoin_refute, restrict_proof
+from kcproof.refute import naive_conjoin_refute
 from kcproof.zoo import lift_Z, path, vc_formula
-from oracles import obdd_negate, obdd_support
+from oracles import (obdd_literal, obdd_negate, obdd_support, restrict_cnf,
+                     restrict_proof)
 
 # repr of the node tables of both stores after script()
 SCRIPT_NODES_SHA256 = \

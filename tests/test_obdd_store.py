@@ -18,7 +18,6 @@ from kcproof.obdd import (
     obdd_apply,
     obdd_from_clause,
     obdd_from_lines,
-    obdd_literal,
     obdd_to_lines,
 )
 from kcproof.cnf import cnf
@@ -30,9 +29,9 @@ from kcproof.proofs import (
     proof_to_text,
 )
 from kcproof.refute import obdd_refute_eq, resolution_refute_lifted
-from kcproof.resolution import resolution_to_obddw
 from kcproof.zoo import lift_Z, path, vc_formula
-from oracles import full_mask, obdd_truth_mask, var_mask
+from oracles import (full_mask, obdd_literal, obdd_truth_mask,
+                     resolution_to_obddw, var_mask)
 
 # SHA-256 of the proof texts before the level table and the per-operation
 # apply workers existed

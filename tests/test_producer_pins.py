@@ -14,15 +14,14 @@ import os
 import pytest
 
 from kcproof import cli
-from kcproof.cnf import restrict_cnf
 from kcproof.dsdnnf import circuit_to_text
 from kcproof.obdd import obdd_to_text
 from kcproof.proofs import check_proof, proof_to_text
-from kcproof.refute import (extract_representation, naive_conjoin_refute,
-                            restrict_proof)
+from kcproof.refute import extract_representation, naive_conjoin_refute
 from kcproof.sdd import sdd_to_text
 from kcproof.structure import right_linear_vtree
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import restrict_cnf, restrict_proof
 
 # naive_conjoin_refute(lift_Z(vc-path 4)): natural order, right-linear vtree
 NAIVE_SHA256 = {

@@ -8,10 +8,7 @@ brute_force_models, never against the machinery being tested.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcproof.cnf import (
-    cnf,
-    restrict_cnf,
-)
+from kcproof.cnf import cnf
 from kcproof.structure import (
     move,
     order_move_of_vtree_move,
@@ -36,16 +33,16 @@ from kcproof.proofs import (
     parse_proof,
     proof_to_text,
 )
-from kcproof.refute import restrict_proof, track_clause_sets
+from kcproof.refute import track_clause_sets
 from kcproof.resolution import (
     ResolutionProof,
     check_resolution,
     parse_resolution,
-    resolution_to_obddw,
     resolution_to_text,
 )
 from oracles import (brute_force_models, formula_mask, obdd_move_var,
-                     obdd_negate, single_variable_move)
+                     obdd_negate, resolution_to_obddw, restrict_cnf,
+                     restrict_proof, single_variable_move)
 
 PHI_UNSAT_2 = cnf(2, [(1, 2), (-1,), (-2,)])
 PHI_CONTRA = cnf(1, [(1,), (-1,)])

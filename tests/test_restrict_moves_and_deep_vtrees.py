@@ -15,16 +15,16 @@ import sys
 import pytest
 
 from kcproof import dsdnnf
-from kcproof.cnf import cnf, restrict_cnf
+from kcproof.cnf import cnf
 from kcproof.obdd import ObddStore, obdd_apply, obdd_from_clause
 from kcproof.proofs import (Proof, ProofSystem, check_proof, diagram_payload,
                             parse_proof, proof_to_text)
-from kcproof.refute import restrict_proof
 from kcproof.sdd import SddStore, rebind, sdd_apply, sdd_from_clause
 from kcproof.structure import (StructureError, move, node_table,
                                path_of_var, remove_leaf, right_linear_order,
                                right_linear_vtree, vtree_to_text)
 from kcproof.zoo import random_regular, tseitin
+from oracles import restrict_cnf, restrict_proof
 
 
 def move_proof(phi, split, moves, seed):

@@ -16,13 +16,13 @@ import types
 import pytest
 
 from kcproof import cli, dsdnnf, proofs, sdd, structure
-from kcproof.cnf import restrict_cnf
 from kcproof.proofs import check_proof, proof_to_text
-from kcproof.refute import naive_conjoin_refute, restrict_proof
+from kcproof.refute import naive_conjoin_refute
 from kcproof.sdd import (SddError, SddStore, drop_leaf, insert_leaf,
                          sdd_literal)
 from kcproof.structure import right_linear_vtree, vtree_leaf, vtree_node
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import restrict_cnf, restrict_proof
 
 # restrict_proof of the d-SDNNF fold of lift_Z(vc-path 3), natural order
 RESTRICTION = {1: 0, 5: 1}

@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcproof.cnf import (
-    cnf,
-    mk_graph,
-    restrict_cnf,
-)
+from kcproof.cnf import cnf, mk_graph
 from kcproof.zoo import (
     ZooError,
     binary_code,
@@ -25,7 +21,7 @@ from kcproof.zoo import (
     vc_formula,
 )
 from oracles import (all_models, brute_force_models, formula_mask,
-                     is_minimally_unsat, kl_profile)
+                     is_minimally_unsat, kl_profile, restrict_cnf)
 
 PHI0 = cnf(1, [[1], [-1]])
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
