@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-Literal = int
 Clause = Tuple[int, ...]
 
 DEFAULT_CHECK_CAP = 10 ** 7  # gate pairs a proof check tests at most

@@ -531,18 +531,6 @@ def dsdnnf_count(d, over):
     return counts[d.root] << len(over) - len(own)
 
 
-def dsdnnf_is_unsat(d):
-    return not _sat_bits(d)[d.root]
-
-
-def dsdnnf_clausal_entails(d, clause):
-    """Does every model of the circuit satisfy the clause?"""
-    falsifying = {abs(lit): 0 if lit > 0 else 1 for lit in clause}
-    if len(falsifying) != len(set(clause)):
-        return True  # some variable occurs with both signs: x or not x
-    return dsdnnf_is_unsat(dsdnnf_restrict(d, falsifying))
-
-
 def _shared_vtree(*circuits):
     trees = [c.vtree for c in circuits if c.vtree is not None]
     if not trees:

@@ -169,10 +169,10 @@ class ObddStore:
         return {nodes[t][0] for t in self.reachable(u)
                 if nodes[t] is not None}
 
-    def reachable(self, u):
+    def reachable(self, *roots):
         nodes = self.nodes
-        seen = {u}
-        stack = [u]
+        seen = set(roots)
+        stack = list(roots)
         while stack:
             node = nodes[stack.pop()]
             if node is not None:
@@ -190,15 +190,7 @@ class ObddStore:
         unique-table entry and each cached result that names it.  Ids
         are never reused, so a node that stays keeps its id."""
         nodes = self.nodes
-        live = {self.FALSE, self.TRUE}
-        stack = list(roots)
-        while stack:
-            u = stack.pop()
-            if u not in live:
-                live.add(u)
-                _, lo, hi = nodes[u]
-                stack.append(lo)
-                stack.append(hi)
+        live = self.reachable(self.FALSE, self.TRUE, *roots)
         unique = {}
         for key, u in self.unique.items():
             if u in live:

@@ -79,7 +79,6 @@ from kcproof.dsdnnf import (
     circuit_size,
     circuit_to_lines,
     clause_circuit,
-    dsdnnf_clausal_entails,
     dsdnnf_conjoin,
     dsdnnf_count,
     dsdnnf_equiv,
@@ -288,7 +287,11 @@ class _Backend:
             for value in (0, 1))
 
     def entails_clause(self, store, d, clause):
-        return self.entails(d, self.clause(store, clause))
+        """Does d entail the clause: is d false wherever the clause is?"""
+        falsifying = {abs(lit): int(lit < 0) for lit in clause}
+        if len(falsifying) < len(set(clause)):
+            return True
+        return self.is_false(self.restrict(d, falsifying))
 
 
 class _ObddBackend(_Backend):
@@ -516,16 +519,13 @@ class _DsdnnfBackend(_Backend):
         n, k = len(leaves), len({abs(lit) for lit in clause})
         models = 1 << n if k < len(set(clause)) else (1 << n) - (1 << (n - k))
         return dsdnnf_count(d, leaves) == models \
-            and dsdnnf_clausal_entails(d, clause)
+            and self.entails_clause(tree, d, clause)
 
     def join_ok(self, a, b, c, clause=None):
         return dsdnnf_join_check(a, b, c)
 
     def entails(self, a, b):
         return dsdnnf_implies(a, b)
-
-    def entails_clause(self, tree, d, clause):
-        return dsdnnf_clausal_entails(d, clause)
 
     def count(self, d, tree):
         return dsdnnf_count(d, tree.variables)

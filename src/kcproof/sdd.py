@@ -373,16 +373,8 @@ class SddStore:
         cached result, count and literal embedding that names it.  Ids
         are never reused, so a node that stays keeps its id."""
         nodes = self.nodes
-        live = set()
-        stack = [*roots, *self._true_at.values(), *self._false_at.values()]
-        while stack:
-            t = stack.pop()
-            if t not in live:
-                live.add(t)
-                descriptor = nodes[t]
-                if descriptor[0] == "dec":
-                    for element in descriptor[2]:
-                        stack += element
+        live = self.reachable(
+            *roots, *self._true_at.values(), *self._false_at.values())
         unique = {}
         for descriptor, t in self.unique.items():
             if t in live:
@@ -397,11 +389,11 @@ class SddStore:
         self._embedded = {key: t for key, t in self._embedded.items()
                           if t in live}
 
-    def reachable(self, u):
-        """Ids of the nodes reachable from u, u and atoms included."""
+    def reachable(self, *roots):
+        """Ids of the nodes the roots reach, roots and atoms included."""
         nodes = self.nodes
-        seen = {u}
-        stack = [u]
+        seen = set(roots)
+        stack = list(roots)
         while stack:
             descriptor = nodes[stack.pop()]
             if descriptor[0] == "dec":

@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from kcproof.cnf import CapExceeded, Clause, CnfError, CnfFormula
-from kcproof.dsdnnf import DsdnnfError
+from kcproof.dsdnnf import DsdnnfError, _sat_bits, dsdnnf_restrict
 from kcproof.obdd import (ObddError, ObddRef, ObddStore, _rebuild, migrate,
                           obdd_apply, obdd_restrict)
 from kcproof.proofs import (BACKENDS, Proof, ProofError, ProofSystem,
@@ -388,6 +388,20 @@ def sdd_compile_cnf(phi, store):
     ("join", i, j, ref) with i, j indexing earlier steps.
     """
     return fold_trace(BACKENDS["sdd"], store, phi.clauses)
+
+
+# ------------------------------------------------------------------ d-SDNNF
+
+def dsdnnf_is_unsat(d):
+    return not _sat_bits(d)[d.root]
+
+
+def dsdnnf_clausal_entails(d, clause):
+    """Does every model of the circuit satisfy the clause?"""
+    falsifying = {abs(lit): 0 if lit > 0 else 1 for lit in clause}
+    if len(falsifying) != len(set(clause)):
+        return True  # some variable occurs with both signs: x or not x
+    return dsdnnf_is_unsat(dsdnnf_restrict(d, falsifying))
 
 
 # ---------------------------------------------------------- payload writers

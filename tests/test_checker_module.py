@@ -29,9 +29,10 @@ NOT_ENTERED = {
     "Proof.add_init", "Proof.add_join", "Proof.add_weaken",
     "Proof.add_move", "Proof.add_reorder",
     # backend methods that only producers and the command line call
-    "_ObddBackend.true", "_ObddBackend.rebase", "_SddBackend.conjoin",
-    "_SddBackend.rebase", "_DsdnnfBackend.true", "_DsdnnfBackend.clause",
-    "_DsdnnfBackend.conjoin", "_DsdnnfBackend.rebase",
+    "_ObddBackend.true", "_ObddBackend.rebase", "_SddBackend.clause",
+    "_SddBackend.conjoin", "_SddBackend.rebase", "_DsdnnfBackend.true",
+    "_DsdnnfBackend.clause", "_DsdnnfBackend.conjoin",
+    "_DsdnnfBackend.rebase",
     # verdict reporting, read by the command line
     "Verdict.resource", "Verdict.to_json",
 }

@@ -13,12 +13,10 @@ from kcproof.dsdnnf import (
     circuit_to_text,
     circuit_vars,
     clause_circuit,
-    dsdnnf_clausal_entails,
     dsdnnf_conjoin,
     dsdnnf_count,
     dsdnnf_equiv,
     dsdnnf_implies,
-    dsdnnf_is_unsat,
     dsdnnf_join_check,
     dsdnnf_restrict,
     obdd_to_dsdnnf,
@@ -30,7 +28,8 @@ from kcproof.dsdnnf import (
 from kcproof.obdd import ObddStore, obdd_apply, obdd_const, obdd_from_clause
 from kcproof.sdd import SddStore, sdd_apply, sdd_const, sdd_from_clause, sdd_literal
 from kcproof.structure import parse_vtree, right_linear_vtree, vtree_leaf, vtree_node
-from oracles import formula_mask, obdd_literal
+from oracles import (dsdnnf_clausal_entails, dsdnnf_is_unsat, formula_mask,
+                     obdd_literal)
 
 MAJ = cnf(3, [[1, 2], [1, 3], [2, 3]])
 MAJ_VTREE = parse_vtree("((x1 x2) x3)")

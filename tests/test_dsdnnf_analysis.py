@@ -27,7 +27,6 @@ from kcproof.dsdnnf import (
     circuit_vars,
     dsdnnf_conjoin,
     dsdnnf_count,
-    dsdnnf_is_unsat,
     validate_deterministic,
     validate_structured,
 )
@@ -36,6 +35,7 @@ from kcproof.refute import naive_conjoin_refute
 from kcproof.structure import (right_linear_vtree, vtree_from_decomposition,
                                vtree_leaf, vtree_node)
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import dsdnnf_is_unsat
 
 # check of the d-SDNNF fold of lift_Z(vc-path 16) on its decomposition
 # vtree, in process seconds: 0.54 s on a 2-vCPU host, against 4.2 s when

@@ -19,7 +19,6 @@ from kcproof.dsdnnf import (
     clause_circuit,
     dsdnnf_conjoin,
     dsdnnf_equiv,
-    dsdnnf_is_unsat,
     sdd_to_dsdnnf,
     validate_deterministic,
     validate_structured,
@@ -29,6 +28,7 @@ from kcproof.refute import naive_conjoin_refute
 from kcproof.sdd import SddStore, sdd_apply, sdd_const, sdd_from_clause
 from kcproof.structure import right_linear_vtree, vtree_leaf, vtree_node
 from kcproof.zoo import lift_Z, path, vc_formula
+from oracles import dsdnnf_is_unsat
 
 
 def fold_proof_text(length):

@@ -10,8 +10,7 @@ from kcproof.structure import right_linear_vtree
 from kcproof.obdd import (ObddStore, obdd_apply, obdd_from_clause,
                           obdd_restrict)
 from kcproof.sdd import SddStore, sdd_restrict, sdd_size
-from kcproof.dsdnnf import (clause_circuit, dsdnnf_conjoin, dsdnnf_is_unsat,
-                            dsdnnf_restrict)
+from kcproof.dsdnnf import clause_circuit, dsdnnf_conjoin, dsdnnf_restrict
 from kcproof.zoo import (LiftedFormula, eq_formula, grid_family, lift_C,
                          lift_Z, path, vc_formula)
 from kcproof.proofs import (Proof, ProofSystem, check_proof, diagram_payload,
@@ -21,8 +20,8 @@ from kcproof.refute import (RefuteError, compilation_to_refutation,
                             obdd_refute_eq, resolution_refute_lifted,
                             treewidth_refute)
 from kcproof.resolution import check_resolution
-from oracles import (all_models, obdd_is_unsat, obdd_total_size,
-                     sdd_compile_cnf, sdd_is_unsat)
+from oracles import (all_models, dsdnnf_is_unsat, obdd_is_unsat,
+                     obdd_total_size, sdd_compile_cnf, sdd_is_unsat)
 
 PHI_CONTRA = cnf(1, [(1,), (-1,)])
 PHI_TWO_MODELS = cnf(2, [(1, 2), (-1, -2)])
