@@ -27,9 +27,11 @@ is not walked again when it is conjoined or counted.
 
 Determinism is checked by a fused product-and-satisfiability recursion
 over child pairs of every or-gate; the pair memo is capped so
-pathological inputs raise a resource error instead of running away.
+pathological inputs raise a resource error instead of running away, and
+so is the product memo of a checked join.
 """
 
+import sys
 from functools import partial
 
 from kcproof.cnf import DEFAULT_CHECK_CAP, CapExceeded
@@ -393,13 +395,16 @@ def validate_deterministic(circuit, tree, cap=DEFAULT_CHECK_CAP):
         del pair_sat
 
 
-def dsdnnf_conjoin(d1, d2, tree):
+def dsdnnf_conjoin(d1, d2, tree, cap=None):
     """Product circuit for the conjunction of two circuits on one vtree.
 
     Output gate count is at most (|d1|+2)*(|d2|+2) counting reachable
     gates.  Both inputs must respect `tree`; determinism of the inputs
-    is assumed and is preserved.
+    is assumed and is preserved.  With a cap, the product memo holds at
+    most `cap` gate pairs.
     """
+    if cap is None:
+        cap = sys.maxsize
     _, bind1 = _checked(d1, tree, check_or_sets=True)
     _, bind2 = _checked(d2, tree, check_or_sets=True)
     out = Circuit(tree)
@@ -418,6 +423,8 @@ def dsdnnf_conjoin(d1, d2, tree):
         key = (u, w)
         if key in memo:
             return memo[key]
+        if len(memo) >= cap:
+            raise CapExceeded("product conjoin exceeded %d gate pairs" % cap)
         if gu[0] == "or":
             r = out.mk_or(prod(gu[1], w), prod(gu[2], w))
         elif gw[0] == "or":
@@ -548,20 +555,41 @@ def dsdnnf_implies(d1, d2):
     return dsdnnf_count(joint, over) == dsdnnf_count(d1, over)
 
 
-def dsdnnf_equiv(d1, d2):
+def dsdnnf_equiv(d1, d2, cap=None):
     tree = _shared_vtree(d1, d2)
     over = circuit_vars(d1) | circuit_vars(d2)
     c1 = dsdnnf_count(d1, over)
     c2 = dsdnnf_count(d2, over)
     if c1 != c2:
         return False
-    joint = dsdnnf_conjoin(d1, d2, tree)
+    joint = dsdnnf_conjoin(d1, d2, tree, cap)
     return dsdnnf_count(joint, over) == c1
 
 
-def dsdnnf_join_check(d1, d2, d3):
+def dsdnnf_join_check(d1, d2, d3, clause=None, cap=None):
+    """Is d3 the conjunction of d1 and d2?  Each product memo holds at most
+    `cap` gate pairs.
+
+    Without a clause, d3 is compared with the product of d1 and d2, which
+    takes a second product.  With the clause that d2 is, and a d3 that
+    entails it (the caller's test), one product suffices: d3 is d1 and
+    the clause when it has as many models as d1 and the clause, that is
+    #d1 less the models of d1 on the clause's falsifying assignment, and
+    as many as its product with d1, which makes d3 entail d1.  A clause
+    with both x and not x has no falsifying assignment.
+    """
     tree = _shared_vtree(d1, d2, d3)
-    return dsdnnf_equiv(dsdnnf_conjoin(d1, d2, tree), d3)
+    if clause is None:
+        return dsdnnf_equiv(dsdnnf_conjoin(d1, d2, tree, cap), d3, cap)
+    leaves = tree.variables
+    models = dsdnnf_count(d1, leaves)
+    falsifying = {abs(lit): int(lit < 0) for lit in clause}
+    if len(falsifying) == len(set(clause)):
+        models -= dsdnnf_count(dsdnnf_restrict(d1, falsifying),
+                               leaves.difference(falsifying))
+    claimed = dsdnnf_count(d3, leaves)
+    return claimed == models and dsdnnf_count(
+        dsdnnf_conjoin(d3, d1, tree, cap), leaves) == claimed
 
 
 def sdd_to_dsdnnf(d):

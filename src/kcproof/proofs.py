@@ -267,9 +267,10 @@ class _Backend:
     def init_ok(self, store, d, clause):
         return self.equal(d, self.clause(store, clause))
 
-    def join_ok(self, a, b, c, clause=None):
+    def join_ok(self, a, b, c, clause=None, cap=None):
         """c is a and b.  clause, when given, is the clause of an init
-        line that b is; this check does not need it."""
+        line that b is, and cap bounds a product's memo; this check needs
+        neither."""
         return self.equal(self.conjoin(self.store_of(c), a, b), c)
 
     def move_ok(self, old_d, new_d, x):
@@ -386,7 +387,7 @@ class _SddBackend(_Backend):
                 raise SddError("variable %d not in vtree" % abs(lit))
         return self._conditioned_ok(self.true(store), d, clause)
 
-    def join_ok(self, a, b, c, clause=None):
+    def join_ok(self, a, b, c, clause=None, cap=None):
         if clause is None:
             return super().join_ok(a, b, c)
         return self._conditioned_ok(a, c, clause)
@@ -521,8 +522,13 @@ class _DsdnnfBackend(_Backend):
         return dsdnnf_count(d, leaves) == models \
             and self.entails_clause(tree, d, clause)
 
-    def join_ok(self, a, b, c, clause=None):
-        return dsdnnf_join_check(a, b, c)
+    def join_ok(self, a, b, c, clause=None, cap=None):
+        """With b a clause, c must entail it, and one product decides the
+        rest (`dsdnnf_join_check`)."""
+        if clause is not None \
+                and not self.entails_clause(self.store_of(c), c, clause):
+            return False
+        return dsdnnf_join_check(a, b, c, clause, cap)
 
     def entails(self, a, b):
         return dsdnnf_implies(a, b)
@@ -879,7 +885,7 @@ def _check_line(session, phi, line, track):
         premise = proof.lines[k - 1]
         clause = phi.clauses[premise.clause_index] \
             if premise.rule == "init" else None
-        if not backend.join_ok(da, db, d, clause):
+        if not backend.join_ok(da, db, d, clause, session.cap):
             return "join mismatch"
         return None
 
