@@ -539,6 +539,17 @@ def _ending(parser, func, output="write the artifact here, not to stdout"):
     parser.set_defaults(func=func)
 
 
+def _budget(text):
+    """A resource budget, a whole number of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, not %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kcproof",
@@ -579,14 +590,14 @@ def build_parser():
                               "treewidth", "eq"))
     ref.add_argument("--format", choices=FORMATS, default="obdd",
                      help="diagram kind for naive and compile2ref")
-    ref.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
+    ref.add_argument("--cap", type=_budget, default=DEFAULT_CHECK_CAP)
     _ending(ref, _cmd_refute, "proof file; a .json report sidecar is"
                               " written next to it")
 
     chk = sub.add_parser("check", help="check a proof against a formula")
     chk.add_argument("formula", help="DIMACS file")
     chk.add_argument("proof", help="kcp or resolution proof file")
-    chk.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
+    chk.add_argument("--cap", type=_budget, default=DEFAULT_CHECK_CAP)
     _ending(chk, _cmd_check, None)
 
     ext = sub.add_parser("extract", help="split an accepted refutation of"
@@ -594,9 +605,9 @@ def build_parser():
                                          " the base formula")
     ext.add_argument("formula", help="z-lifted DIMACS file")
     ext.add_argument("proof", help="kcp proof file")
-    ext.add_argument("--var-cap", type=int, default=22,
+    ext.add_argument("--var-cap", type=_budget, default=22,
                      help="refuse outputs over more variables than this")
-    ext.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
+    ext.add_argument("--cap", type=_budget, default=DEFAULT_CHECK_CAP)
     _ending(ext, _cmd_extract)
 
     cnt = sub.add_parser("count", help="model count of a diagram file over"

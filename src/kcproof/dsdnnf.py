@@ -28,7 +28,7 @@ is not walked again when it is conjoined or counted.
 Determinism is checked by a fused product-and-satisfiability recursion
 over child pairs of every or-gate; the pair memo is capped so
 pathological inputs raise a resource error instead of running away, and
-so is the product memo of a checked join.
+so is the product memo of a checked entailment.
 """
 
 import sys
@@ -548,22 +548,20 @@ def _shared_vtree(*circuits):
     return trees[0]
 
 
-def dsdnnf_implies(d1, d2):
+def dsdnnf_implies(d1, d2, cap=None):
+    """Does d1 entail d2?  It does when their product has as many models
+    as d1, counted over the shared vtree's leaves.  This is the one test
+    of a check that builds a product; its memo holds at most `cap` gate
+    pairs."""
     tree = _shared_vtree(d1, d2)
-    over = circuit_vars(d1) | circuit_vars(d2)
-    joint = dsdnnf_conjoin(d1, d2, tree)
-    return dsdnnf_count(joint, over) == dsdnnf_count(d1, over)
+    return dsdnnf_count(dsdnnf_conjoin(d1, d2, tree, cap), tree.variables) \
+        == dsdnnf_count(d1, tree.variables)
 
 
 def dsdnnf_equiv(d1, d2, cap=None):
-    tree = _shared_vtree(d1, d2)
-    over = circuit_vars(d1) | circuit_vars(d2)
-    c1 = dsdnnf_count(d1, over)
-    c2 = dsdnnf_count(d2, over)
-    if c1 != c2:
-        return False
-    joint = dsdnnf_conjoin(d1, d2, tree, cap)
-    return dsdnnf_count(joint, over) == c1
+    leaves = _shared_vtree(d1, d2).variables
+    return dsdnnf_count(d1, leaves) == dsdnnf_count(d2, leaves) \
+        and dsdnnf_implies(d1, d2, cap)
 
 
 def dsdnnf_join_check(d1, d2, d3, clause=None, cap=None):
@@ -575,8 +573,8 @@ def dsdnnf_join_check(d1, d2, d3, clause=None, cap=None):
     entails it (the caller's test), one product suffices: d3 is d1 and
     the clause when it has as many models as d1 and the clause, that is
     #d1 less the models of d1 on the clause's falsifying assignment, and
-    as many as its product with d1, which makes d3 entail d1.  A clause
-    with both x and not x has no falsifying assignment.
+    entails d1.  A clause with both x and not x has no falsifying
+    assignment.
     """
     tree = _shared_vtree(d1, d2, d3)
     if clause is None:
@@ -587,9 +585,8 @@ def dsdnnf_join_check(d1, d2, d3, clause=None, cap=None):
     if len(falsifying) == len(set(clause)):
         models -= dsdnnf_count(dsdnnf_restrict(d1, falsifying),
                                leaves.difference(falsifying))
-    claimed = dsdnnf_count(d3, leaves)
-    return claimed == models and dsdnnf_count(
-        dsdnnf_conjoin(d3, d1, tree, cap), leaves) == claimed
+    return dsdnnf_count(d3, leaves) == models \
+        and dsdnnf_implies(d3, d1, cap)
 
 
 def sdd_to_dsdnnf(d):

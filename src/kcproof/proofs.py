@@ -240,7 +240,8 @@ class Proof:
 class _Backend:
     """One diagram format, as the checker, the producers and the command
     line use it.  A store holds the diagrams over one structure: an order
-    or a vtree.  The defaults serve the vtree formats."""
+    or a vtree.  The defaults serve the vtree formats.  A cap bounds the
+    memo of a d-SDNNF product; OBDD and SDD tests take it and ignore it."""
 
     structure_kind = "vtree"   # the kind named by the format's s statements
     structure_type = Vtree
@@ -269,11 +270,10 @@ class _Backend:
 
     def join_ok(self, a, b, c, clause=None, cap=None):
         """c is a and b.  clause, when given, is the clause of an init
-        line that b is, and cap bounds a product's memo; this check needs
-        neither."""
+        line that b is; this check needs neither it nor cap."""
         return self.equal(self.conjoin(self.store_of(c), a, b), c)
 
-    def move_ok(self, old_d, new_d, x):
+    def move_ok(self, old_d, new_d, x, cap=None):
         """Equality across structures that agree once x is removed, by
         Shannon expansion over one store without x.  The counts, compared
         first, reject most dishonest moves in linear time."""
@@ -284,7 +284,8 @@ class _Backend:
         common = self.store(self.without(old_s, {x}))
         return all(
             self.equal(self.drop(common, self.restrict(old_d, {x: value}), x),
-                       self.drop(common, self.restrict(new_d, {x: value}), x))
+                       self.drop(common, self.restrict(new_d, {x: value}), x),
+                       cap)
             for value in (0, 1))
 
     def entails_clause(self, store, d, clause):
@@ -334,10 +335,10 @@ class _ObddBackend(_Backend):
     def rebase(self, store, d):
         return d if d.store is store else migrate(store, d)
 
-    def equal(self, a, b):
+    def equal(self, a, b, cap=None):
         return obdd_equal(a, b)
 
-    def entails(self, a, b):
+    def entails(self, a, b, cap=None):
         return obdd_entails(a, b)
 
     def count(self, d, order):
@@ -439,10 +440,10 @@ class _SddBackend(_Backend):
     def rebase(self, store, d):
         return d if d.store is store else rebind(store, d)
 
-    def equal(self, a, b):
+    def equal(self, a, b, cap=None):
         return sdd_equal(a, b)
 
-    def entails(self, a, b):
+    def entails(self, a, b, cap=None):
         return sdd_entails(a, b)
 
     def count(self, d, tree):
@@ -507,8 +508,8 @@ class _DsdnnfBackend(_Backend):
         validate_structured(out, tree)
         return out
 
-    def equal(self, a, b):
-        return dsdnnf_equiv(a, b)
+    def equal(self, a, b, cap=None):
+        return dsdnnf_equiv(a, b, cap)
 
     def init_ok(self, tree, d, clause):
         """A circuit that entails the clause and has as many models is the
@@ -523,15 +524,15 @@ class _DsdnnfBackend(_Backend):
             and self.entails_clause(tree, d, clause)
 
     def join_ok(self, a, b, c, clause=None, cap=None):
-        """With b a clause, c must entail it, and one product decides the
-        rest (`dsdnnf_join_check`)."""
+        """With b a clause, c must entail it, and `dsdnnf_join_check`
+        decides the rest."""
         if clause is not None \
                 and not self.entails_clause(self.store_of(c), c, clause):
             return False
         return dsdnnf_join_check(a, b, c, clause, cap)
 
-    def entails(self, a, b):
-        return dsdnnf_implies(a, b)
+    def entails(self, a, b, cap=None):
+        return dsdnnf_implies(a, b, cap)
 
     def count(self, d, tree):
         return dsdnnf_count(d, tree.variables)
@@ -893,7 +894,7 @@ def _check_line(session, phi, line, track):
         da, sa = session.line_diagram(line.refs[0])
         if session.store(sa) is not store:
             return "weaken structure mismatch"
-        if not backend.entails(da, d):
+        if not backend.entails(da, d, session.cap):
             return "weakening does not hold"
         return None
 
@@ -940,7 +941,7 @@ def _check_line(session, phi, line, track):
             return reason
         if expected != session.structure_value(sid):
             return "move structure mismatch"
-        if not backend.move_ok(old_d, d, line.var):
+        if not backend.move_ok(old_d, d, line.var, session.cap):
             return "move count equations fail"
         return None
 

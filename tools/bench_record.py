@@ -17,8 +17,12 @@ as one more metric, lower is better, whose value in a run is the median of
 its samples.  With exactly two trees the summary also counts the pairs in
 which the second tree did better, in the direction ``BENCHMARK.json``
 declares.  The k-th run of a seed on one tree pairs with the k-th run of
-that seed on the other, so a seed recorded twice gives two pairs.  The
-script ends by printing the summary, one line per workload and metric.
+that seed on the other, so a seed recorded twice gives two pairs.  A
+metric whose median moves one way from the first tree to the second while
+the median of its raw samples moves the other way gets
+``"raw_disagrees": true``, since the speed scaling then decides which way
+it moved.  The script ends by printing the summary, one line per workload
+and metric.
 
 Each run compiles its tree's modules into a new, empty bytecode directory
 (``PYTHONPYCACHEPREFIX``), removed after the run, so that no tree imports
@@ -109,7 +113,20 @@ def summarize(runs, labels, better):
                     (b < a) if lower else (b > a) for a, b in pairs)
             if entry:
                 table[metric] = entry
+        if len(labels) == 2:
+            for metric in RAW:
+                scaled = metric[:-len("_raw")]
+                if shift(table.get(scaled), labels) \
+                        * shift(table.get(metric), labels) < 0:
+                    table[scaled]["raw_disagrees"] = True
     return summary
+
+
+def shift(entry, labels):
+    """The second tree's median less the first's, 0 unless both have one."""
+    if entry is None or not all(label in entry for label in labels):
+        return 0
+    return entry[labels[1]]["median"] - entry[labels[0]]["median"]
 
 
 def number(value):
@@ -118,7 +135,8 @@ def number(value):
 
 def summary_lines(summary, labels):
     """One line per workload and metric: each tree's median [q1, q3] and
-    run count, then the pair wins of the second tree when there are two."""
+    run count, then the pair wins of the second tree when there are two,
+    and a note when the raw median moves the other way."""
     lines = []
     for workload, table in sorted(summary.items()):
         for metric, entry in sorted(table.items()):
@@ -132,6 +150,8 @@ def summary_lines(summary, labels):
             if "pairs" in entry:
                 line += "; %s better in %d of %d pairs" % (
                     labels[1], entry["second_better"], entry["pairs"])
+            if entry.get("raw_disagrees"):
+                line += "; raw median moves the other way"
             lines.append(line)
     return lines
 
